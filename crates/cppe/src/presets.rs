@@ -17,6 +17,25 @@ use crate::prefetch::sequential::SequentialLocalPrefetcher;
 use crate::prefetch::tree::TreeNeighborhoodPrefetcher;
 use crate::prefetch::NonePrefetcher;
 
+/// Every preset without a parameter, in declaration order.
+const FIXED: [PolicyPreset; 15] = [
+    PolicyPreset::Baseline,
+    PolicyPreset::Random,
+    PolicyPreset::ReservedLru10,
+    PolicyPreset::ReservedLru20,
+    PolicyPreset::DisablePfOnFull,
+    PolicyPreset::Cppe,
+    PolicyPreset::CppeScheme1,
+    PolicyPreset::MhpeOnly,
+    PolicyPreset::HpeNaive,
+    PolicyPreset::HpeNoPf,
+    PolicyPreset::LruNoPf,
+    PolicyPreset::LruTree,
+    PolicyPreset::MhpeNoSwitch,
+    PolicyPreset::Clock,
+    PolicyPreset::Srrip,
+];
+
 /// The policy combinations evaluated in the paper (plus extensions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyPreset {
@@ -82,6 +101,30 @@ impl PolicyPreset {
             PolicyPreset::Clock => "clock".into(),
             PolicyPreset::Srrip => "srrip".into(),
         }
+    }
+
+    /// Parse a policy name back into its preset: every [`label`]
+    /// (including `mhpe-fd{N}` and `mhpe-t3-{N}`) plus the short aliases
+    /// `lru-10`, `lru-20`, `nopf`, `mhpe`, `hpe` and `tree`.
+    ///
+    /// [`label`]: PolicyPreset::label
+    #[must_use]
+    pub fn parse(name: &str) -> Option<PolicyPreset> {
+        if let Some(fd) = name.strip_prefix("mhpe-fd") {
+            return fd.parse().ok().map(PolicyPreset::MhpeFixedFd);
+        }
+        if let Some(t3) = name.strip_prefix("mhpe-t3-") {
+            return t3.parse().ok().map(PolicyPreset::MhpeT3);
+        }
+        Some(match name {
+            "lru-10" => PolicyPreset::ReservedLru10,
+            "lru-20" => PolicyPreset::ReservedLru20,
+            "nopf" => PolicyPreset::DisablePfOnFull,
+            "mhpe" => PolicyPreset::MhpeOnly,
+            "hpe" => PolicyPreset::HpeNaive,
+            "tree" => PolicyPreset::LruTree,
+            _ => return FIXED.into_iter().find(|p| p.label() == name),
+        })
     }
 
     /// Build a fresh engine for this preset. `seed` feeds the Random
@@ -172,31 +215,41 @@ impl PolicyPreset {
 mod tests {
     use super::*;
 
+    fn every_preset() -> Vec<PolicyPreset> {
+        let mut all = FIXED.to_vec();
+        all.extend([PolicyPreset::MhpeFixedFd(5), PolicyPreset::MhpeT3(24)]);
+        all
+    }
+
     #[test]
     fn every_preset_builds() {
-        let presets = [
-            PolicyPreset::Baseline,
-            PolicyPreset::Random,
-            PolicyPreset::ReservedLru10,
-            PolicyPreset::ReservedLru20,
-            PolicyPreset::DisablePfOnFull,
-            PolicyPreset::Cppe,
-            PolicyPreset::CppeScheme1,
-            PolicyPreset::MhpeOnly,
-            PolicyPreset::HpeNaive,
-            PolicyPreset::HpeNoPf,
-            PolicyPreset::LruNoPf,
-            PolicyPreset::LruTree,
-            PolicyPreset::MhpeFixedFd(5),
-            PolicyPreset::MhpeT3(24),
-            PolicyPreset::MhpeNoSwitch,
-            PolicyPreset::Clock,
-            PolicyPreset::Srrip,
-        ];
-        for p in presets {
+        for p in every_preset() {
             let e = p.build(42);
             assert!(!e.name().is_empty());
             assert!(!p.label().is_empty());
+        }
+    }
+
+    #[test]
+    fn every_label_parses_back() {
+        for p in every_preset() {
+            assert_eq!(PolicyPreset::parse(&p.label()), Some(p), "{}", p.label());
+        }
+        assert_eq!(PolicyPreset::parse("bogus"), None);
+        assert_eq!(PolicyPreset::parse("mhpe-fd"), None);
+    }
+
+    #[test]
+    fn short_aliases_parse() {
+        for (alias, p) in [
+            ("lru-10", PolicyPreset::ReservedLru10),
+            ("lru-20", PolicyPreset::ReservedLru20),
+            ("nopf", PolicyPreset::DisablePfOnFull),
+            ("mhpe", PolicyPreset::MhpeOnly),
+            ("hpe", PolicyPreset::HpeNaive),
+            ("tree", PolicyPreset::LruTree),
+        ] {
+            assert_eq!(PolicyPreset::parse(alias), Some(p), "{alias}");
         }
     }
 

@@ -158,10 +158,10 @@ impl Tlb {
     }
 }
 
-/// The seed's scan-based TLB, kept for the `compare-bench` microbenches
-/// (probe-vs-legacy-lookup) and the equivalence model test below. Same
-/// observable semantics as [`Tlb`]: true LRU by monotone use stamp.
-#[cfg(any(test, feature = "compare-bench"))]
+/// The seed's scan-based TLB, kept as the oracle for the equivalence
+/// model test below. Same observable semantics as [`Tlb`]: true LRU by
+/// monotone use stamp.
+#[cfg(test)]
 pub mod legacy {
     use super::TlbConfig;
     use crate::types::{Frame, VirtPage};

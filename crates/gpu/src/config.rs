@@ -43,10 +43,6 @@ pub struct GpuConfig {
     pub jitter_seed: u64,
     /// Hard stop: declare `Timeout` past this many cycles.
     pub max_cycles: u64,
-    /// Record a timeline sample at every fault-batch dispatch (off by
-    /// default; used by the `timeline` experiment to plot policy
-    /// dynamics over time).
-    pub record_timeline: bool,
     /// Fault-injection scenario (chaos experiments). Disabled by
     /// default: no perturbation, no RNG draws, bit-identical runs.
     pub injection: InjectionConfig,
@@ -94,7 +90,6 @@ impl Default for GpuConfig {
             compute_jitter: 0.3,
             jitter_seed: 0x6A17_7E12,
             max_cycles: 200_000_000_000,
-            record_timeline: false,
             injection: InjectionConfig::disabled(),
             resilience: ResilienceConfig::default(),
             trace: TraceConfig::default(),

@@ -17,4 +17,4 @@ pub mod sim;
 pub mod waiters;
 
 pub use config::GpuConfig;
-pub use sim::{simulate, simulate_accesses, Outcome, RunResult, TimelinePoint};
+pub use sim::{simulate, simulate_accesses, Outcome, RunResult};

@@ -41,21 +41,6 @@ pub enum Outcome {
     Timeout,
 }
 
-/// One timeline sample, taken at a fault-batch dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimelinePoint {
-    /// Simulated cycle of the dispatch.
-    pub cycle: u64,
-    /// Cumulative demand faults.
-    pub faults: u64,
-    /// Cumulative pages migrated in.
-    pub pages_migrated: u64,
-    /// Cumulative pages evicted.
-    pub pages_evicted: u64,
-    /// Resident pages at the sample.
-    pub resident_pages: u64,
-}
-
 /// Everything a run produces.
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -84,8 +69,6 @@ pub struct RunResult {
     pub mhpe: Option<MhpeTrace>,
     /// Pattern-buffer length at end of run (0 for bufferless).
     pub pattern_buffer_len: usize,
-    /// Per-batch samples (empty unless `GpuConfig::record_timeline`).
-    pub timeline: Vec<TimelinePoint>,
     /// GPU memory capacity the run was given, in frames.
     pub frames_capacity: u32,
     /// Free frames at end of run (leak check: capacity − free must
@@ -141,7 +124,6 @@ impl RunResult {
             overhead: OverheadSnapshot::default(),
             mhpe: None,
             pattern_buffer_len: 0,
-            timeline: Vec::new(),
             frames_capacity: 0,
             frames_free: 0,
             resident_pages: 0,
@@ -207,7 +189,6 @@ fn dispatch_batch(
     fault_spans: &sim_core::FxHashMap<(u64, u32), (SpanId, SpanId, u64)>,
     pending_faults: &mut Vec<VirtPage>,
     batch_buf: &mut Vec<VirtPage>,
-    timeline: &mut Vec<TimelinePoint>,
 ) -> BatchEnd {
     std::mem::swap(pending_faults, batch_buf);
     let r = match driver.service_batch(batch_buf, dispatch, xlat) {
@@ -238,16 +219,6 @@ fn dispatch_batch(
         q.push(t, Event::PageReady(page));
     }
     q.push(r.host_done, Event::DriverFree);
-    if cfg.record_timeline {
-        let st = driver.engine().stats;
-        timeline.push(TimelinePoint {
-            cycle: dispatch.0,
-            faults: st.faults,
-            pages_migrated: st.pages_migrated,
-            pages_evicted: st.pages_evicted,
-            resident_pages: xlat.page_table().resident_count() as u64,
-        });
-    }
     driver.recycle(r);
     BatchEnd::Ok
 }
@@ -413,7 +384,6 @@ pub fn simulate(
     let mut driver_busy = false;
     let mut outcome = Outcome::Completed;
     let mut end = Cycle::ZERO;
-    let mut timeline: Vec<TimelinePoint> = Vec::new();
     let mut error: Option<String> = None;
     let fast_lane = cfg.fast_lane;
     // Reused scratch for same-cycle lane wakes (PageReady bulk push).
@@ -631,7 +601,6 @@ pub fn simulate(
                                     &fault_spans,
                                     &mut pending_faults,
                                     &mut batch_buf,
-                                    &mut timeline,
                                 ) {
                                     BatchEnd::Ok => {}
                                     BatchEnd::Crashed(done) => {
@@ -701,7 +670,6 @@ pub fn simulate(
                         &fault_spans,
                         &mut pending_faults,
                         &mut batch_buf,
-                        &mut timeline,
                     ) {
                         BatchEnd::Ok => {}
                         BatchEnd::Crashed(done) => {
@@ -767,7 +735,6 @@ pub fn simulate(
         overhead: engine.overhead(),
         mhpe,
         pattern_buffer_len: engine.overhead().pattern_buffer_max,
-        timeline,
         frames_capacity: capacity_pages,
         frames_free,
         resident_pages: xlat.page_table().resident_count() as u64,
@@ -961,34 +928,6 @@ mod tests {
     }
 
     #[test]
-    fn timeline_records_batch_samples_when_enabled() {
-        let cfg = GpuConfig {
-            record_timeline: true,
-            ..tiny_cfg()
-        };
-        let streams = vec![seq_stream(128, 2, 100)];
-        let r = simulate_accesses(&cfg, PolicyPreset::Baseline.build(0), &streams, 64, 128);
-        assert!(!r.timeline.is_empty());
-        assert_eq!(r.timeline.len() as u64, r.driver.batches);
-        // Monotone cumulative counters and bounded residency.
-        for w in r.timeline.windows(2) {
-            assert!(w[0].cycle <= w[1].cycle);
-            assert!(w[0].faults <= w[1].faults);
-            assert!(w[0].pages_migrated <= w[1].pages_migrated);
-        }
-        assert!(r.timeline.iter().all(|p| p.resident_pages <= 64));
-
-        let off = simulate_accesses(
-            &tiny_cfg(),
-            PolicyPreset::Baseline.build(0),
-            &streams,
-            64,
-            128,
-        );
-        assert!(off.timeline.is_empty());
-    }
-
-    #[test]
     fn tracing_attaches_telemetry_with_one_epoch_per_batch() {
         let cfg = GpuConfig {
             trace: telemetry::TraceConfig::on(),
@@ -999,6 +938,9 @@ mod tests {
         let t = r.telemetry.as_ref().expect("tracing was on");
         assert_eq!(t.series.rows.len() as u64, r.driver.batches);
         t.series.parity().expect("counter deltas reconcile");
+        assert!(t.series.rows.windows(2).all(|w| w[0].cycle <= w[1].cycle));
+        let resident = t.series.index_of("mem.resident_pages").unwrap();
+        assert!(t.series.rows.iter().all(|row| row.totals[resident] <= 64));
         assert_eq!(t.series.final_total("driver.batches"), r.driver.batches);
         assert_eq!(
             t.series.final_total("cppe.pages_migrated"),

@@ -4,7 +4,7 @@
 //! resumes where it left off. Usage:
 //!
 //! ```text
-//! cargo run --release -p harness --bin orchestrate -- \
+//! cppe orchestrate \
 //!     [--apps STN,MRQ|all] [--policies baseline,cppe] [--rates 50,75] \
 //!     [--seeds 12648430] [--scale X] [--threads N] \
 //!     [--store DIR] [--resume] [--salvage] [--compact] \
@@ -29,12 +29,15 @@
 //! crash flight recorder is always armed: dossiers go to `--flight
 //! PATH` or default to `<store>/flightrec.json` / `results/flightrec.json`.
 
-use harness::orchestrator::{
-    orchestrate, parse_policy, render_report, CellSpec, LeaseConfig, OpsPlane, OrchChaos,
-    OrchestratorConfig, Recovery, ResultStore,
+use super::flag_value;
+use crate::orchestrator::{
+    orchestrate, render_report, CellSpec, LeaseConfig, OpsPlane, OrchChaos, OrchestratorConfig,
+    Recovery, ResultStore,
 };
-use harness::runner::ExpConfig;
+use crate::runner::ExpConfig;
+use cppe::presets::PolicyPreset;
 use std::path::PathBuf;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -54,13 +57,6 @@ fn parse_list(raw: &str) -> Vec<&str> {
         .map(str::trim)
         .filter(|s| !s.is_empty())
         .collect()
-}
-
-fn take<'a>(args: &'a [String], i: &mut usize, what: &str) -> &'a str {
-    *i += 1;
-    args.get(*i)
-        .map(String::as_str)
-        .unwrap_or_else(|| panic!("{what} needs a value"))
 }
 
 #[allow(clippy::too_many_lines)]
@@ -84,20 +80,19 @@ fn parse_cli(args: &[String]) -> Cli {
 
     let mut i = 0;
     while i < args.len() {
-        match args[i].clone().as_str() {
+        let flag = args[i].as_str();
+        let mut value =
+            || flag_value(args, &mut i).unwrap_or_else(|| panic!("{flag} needs a value"));
+        match flag {
             "--quick" => exp = ExpConfig::quick(),
             "--scale" => {
-                exp.scale = take(args, &mut i, "--scale")
-                    .parse()
-                    .expect("--scale needs a number");
+                exp.scale = value().parse().expect("--scale needs a number");
             }
             "--threads" => {
-                threads = take(args, &mut i, "--threads")
-                    .parse()
-                    .expect("--threads needs a number");
+                threads = value().parse().expect("--threads needs a number");
             }
             "--apps" => {
-                let raw = take(args, &mut i, "--apps");
+                let raw = value();
                 apps = if raw == "all" {
                     workloads::registry::all()
                         .iter()
@@ -108,13 +103,13 @@ fn parse_cli(args: &[String]) -> Cli {
                 };
             }
             "--policies" => {
-                policies = parse_list(take(args, &mut i, "--policies"))
+                policies = parse_list(value())
                     .iter()
                     .map(|s| (*s).to_string())
                     .collect();
             }
             "--rates" => {
-                rates = parse_list(take(args, &mut i, "--rates"))
+                rates = parse_list(value())
                     .iter()
                     .map(|s| {
                         let pct: f64 = s.parse().expect("--rates needs percents, e.g. 50,75");
@@ -123,68 +118,50 @@ fn parse_cli(args: &[String]) -> Cli {
                     .collect();
             }
             "--seeds" => {
-                seeds = parse_list(take(args, &mut i, "--seeds"))
+                seeds = parse_list(value())
                     .iter()
                     .map(|s| s.parse().expect("--seeds needs integers"))
                     .collect();
             }
-            "--store" => store = Some(PathBuf::from(take(args, &mut i, "--store"))),
+            "--store" => store = Some(PathBuf::from(value())),
             "--resume" => resume = true,
             "--salvage" => recovery = Recovery::Salvage,
             "--compact" => compact = true,
             "--lease-ms" => {
-                lease.lease = Duration::from_millis(
-                    take(args, &mut i, "--lease-ms")
-                        .parse()
-                        .expect("--lease-ms needs millis"),
-                );
+                lease.lease =
+                    Duration::from_millis(value().parse().expect("--lease-ms needs millis"));
             }
             "--max-attempts" => {
-                lease.max_attempts = take(args, &mut i, "--max-attempts")
-                    .parse()
-                    .expect("--max-attempts needs a number");
+                lease.max_attempts = value().parse().expect("--max-attempts needs a number");
             }
             "--backoff-ms" => {
-                lease.backoff = Duration::from_millis(
-                    take(args, &mut i, "--backoff-ms")
-                        .parse()
-                        .expect("--backoff-ms needs millis"),
-                );
+                lease.backoff =
+                    Duration::from_millis(value().parse().expect("--backoff-ms needs millis"));
             }
             "--max-in-flight" => {
-                lease.max_in_flight = take(args, &mut i, "--max-in-flight")
-                    .parse()
-                    .expect("--max-in-flight needs a number");
+                lease.max_in_flight = value().parse().expect("--max-in-flight needs a number");
             }
             "--chaos-seed" => {
                 chaos = Some(OrchChaos::storm(
-                    take(args, &mut i, "--chaos-seed")
-                        .parse()
-                        .expect("--chaos-seed needs a number"),
+                    value().parse().expect("--chaos-seed needs a number"),
                 ));
             }
             "--stop-after" => {
-                stop_after = Some(
-                    take(args, &mut i, "--stop-after")
-                        .parse()
-                        .expect("--stop-after needs a number"),
-                );
+                stop_after = Some(value().parse().expect("--stop-after needs a number"));
             }
             "--status-port" => {
                 status_port = Some(
-                    take(args, &mut i, "--status-port")
+                    value()
                         .parse()
                         .expect("--status-port needs a port number (0 = ephemeral)"),
                 );
             }
             "--status-linger-ms" => {
                 status_linger = Duration::from_millis(
-                    take(args, &mut i, "--status-linger-ms")
-                        .parse()
-                        .expect("--status-linger-ms needs millis"),
+                    value().parse().expect("--status-linger-ms needs millis"),
                 );
             }
-            "--flight" => flight = Some(PathBuf::from(take(args, &mut i, "--flight"))),
+            "--flight" => flight = Some(PathBuf::from(value())),
             other => panic!("unknown argument: {other}"),
         }
         i += 1;
@@ -195,8 +172,8 @@ fn parse_cli(args: &[String]) -> Cli {
         let spec = workloads::registry::by_abbr(app)
             .unwrap_or_else(|| panic!("unknown workload {app:?} (try --apps all)"));
         for policy in &policies {
-            let preset =
-                parse_policy(policy).unwrap_or_else(|| panic!("unknown policy label {policy:?}"));
+            let preset = PolicyPreset::parse(policy)
+                .unwrap_or_else(|| panic!("unknown policy label {policy:?}"));
             for &rate in &rates {
                 for &seed in &seeds {
                     cells.push(CellSpec {
@@ -229,9 +206,8 @@ fn parse_cli(args: &[String]) -> Cli {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cli = parse_cli(&args);
+pub(super) fn main(args: &[String]) -> ExitCode {
+    let mut cli = parse_cli(args);
     let t0 = std::time::Instant::now();
 
     // Ops artifacts (flight dossier, status.addr) live next to the
@@ -306,7 +282,7 @@ fn main() {
     let report = render_report(&outcome);
     println!("{report}");
     eprintln!("[orchestrate] completed in {:.1?}", t0.elapsed());
-    match harness::report::save("orchestrate.txt", &report) {
+    match crate::report::save("orchestrate.txt", &report) {
         Ok(path) => eprintln!("[orchestrate] saved to {}", path.display()),
         Err(e) => eprintln!("[orchestrate] could not save results: {e}"),
     }
@@ -318,6 +294,7 @@ fn main() {
     drop(server);
     if outcome.stopped_early {
         eprintln!("[orchestrate] stopped early (--stop-after); rerun with --resume to finish");
-        std::process::exit(3);
+        return ExitCode::from(3);
     }
+    ExitCode::SUCCESS
 }

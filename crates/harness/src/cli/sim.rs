@@ -1,36 +1,21 @@
-//! `cppe-sim` — run one workload under one policy and print a full
+//! `cppe sim` — run one workload under one policy and print a full
 //! report. The general-purpose entry point for exploring the simulator.
 //!
 //! ```text
-//! cargo run --release -p harness --bin cppe-sim -- \
-//!     --workload SRD --policy cppe --rate 0.5 [--scale 1.0] \
-//!     [--lanes 28] [--seed 42] [--trace-out FILE | --trace-in FILE]
+//! cppe sim --workload SRD --policy cppe --rate 0.5 [--scale 1.0]
+//!          [--lanes 28] [--seed 42] [--trace-out FILE | --trace-in FILE]
 //! ```
 //!
-//! Policies: baseline random lru-10 lru-20 nopf cppe cppe-s1 mhpe hpe
-//! hpe-nopf lru-nopf tree
+//! `--policy` takes any name [`PolicyPreset::parse`] accepts. Memory is
+//! `rate × footprint` rounded to whole chunks, at least two
+//! ([`capacity_for`]), as in every experiment.
 
+use super::flag_value;
+use crate::runner::capacity_for;
 use cppe::presets::PolicyPreset;
 use gpu::{simulate, GpuConfig};
+use std::process::ExitCode;
 use workloads::registry;
-
-fn parse_policy(name: &str) -> Option<PolicyPreset> {
-    Some(match name {
-        "baseline" => PolicyPreset::Baseline,
-        "random" => PolicyPreset::Random,
-        "lru-10" | "lru-10%" => PolicyPreset::ReservedLru10,
-        "lru-20" | "lru-20%" => PolicyPreset::ReservedLru20,
-        "nopf" | "nopf-on-full" => PolicyPreset::DisablePfOnFull,
-        "cppe" => PolicyPreset::Cppe,
-        "cppe-s1" => PolicyPreset::CppeScheme1,
-        "mhpe" => PolicyPreset::MhpeOnly,
-        "hpe" => PolicyPreset::HpeNaive,
-        "hpe-nopf" => PolicyPreset::HpeNoPf,
-        "lru-nopf" => PolicyPreset::LruNoPf,
-        "tree" => PolicyPreset::LruTree,
-        _ => return None,
-    })
-}
 
 struct Args {
     workload: String,
@@ -45,9 +30,10 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: cppe-sim --workload ABBR --policy NAME [--rate 0.5] [--scale 1.0]\n\
+        "usage: cppe sim --workload ABBR --policy NAME [--rate 0.5] [--scale 1.0]\n\
          \x20               [--lanes 28] [--seed 42] [--trace-out FILE | --trace-in FILE]\n\
          policies: baseline random lru-10 lru-20 nopf cppe cppe-s1 mhpe hpe hpe-nopf lru-nopf tree\n\
+         \x20         clock srrip mhpe-noswitch mhpe-fd<N> mhpe-t3-<N> (or any full label)\n\
          workloads: {}",
         registry::all()
             .iter()
@@ -58,7 +44,7 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_args() -> Args {
+fn parse_args(argv: &[String]) -> Args {
     let mut a = Args {
         workload: "SRD".into(),
         policy: PolicyPreset::Cppe,
@@ -69,26 +55,19 @@ fn parse_args() -> Args {
         trace_out: None,
         trace_in: None,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
-        let val = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i).cloned().unwrap_or_else(|| usage())
-        };
-        match argv[i].as_str() {
-            "--workload" | "-w" => a.workload = val(&mut i),
-            "--policy" | "-p" => {
-                let name = val(&mut i);
-                a.policy = parse_policy(&name).unwrap_or_else(|| usage());
-            }
-            "--rate" | "-r" => a.rate = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--scale" | "-s" => a.scale = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--lanes" => a.lanes = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--seed" => a.seed = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--trace-out" => a.trace_out = Some(val(&mut i)),
-            "--trace-in" => a.trace_in = Some(val(&mut i)),
-            "--help" | "-h" => usage(),
+        let flag = argv[i].as_str();
+        let mut val = || flag_value(argv, &mut i).unwrap_or_else(|| usage());
+        match flag {
+            "--workload" | "-w" => a.workload = val().to_string(),
+            "--policy" | "-p" => a.policy = PolicyPreset::parse(val()).unwrap_or_else(|| usage()),
+            "--rate" | "-r" => a.rate = val().parse().unwrap_or_else(|_| usage()),
+            "--scale" | "-s" => a.scale = val().parse().unwrap_or_else(|_| usage()),
+            "--lanes" => a.lanes = val().parse().unwrap_or_else(|_| usage()),
+            "--seed" => a.seed = val().parse().unwrap_or_else(|_| usage()),
+            "--trace-out" => a.trace_out = Some(val().to_string()),
+            "--trace-in" => a.trace_in = Some(val().to_string()),
             _ => usage(),
         }
         i += 1;
@@ -96,8 +75,8 @@ fn parse_args() -> Args {
     a
 }
 
-fn main() {
-    let args = parse_args();
+pub(super) fn main(argv: &[String]) -> ExitCode {
+    let args = parse_args(argv);
     let spec = registry::by_abbr(&args.workload).unwrap_or_else(|| usage());
     let sms = 28usize;
     let gpu = GpuConfig {
@@ -107,10 +86,13 @@ fn main() {
     };
 
     let streams = if let Some(path) = &args.trace_in {
-        workloads::trace::load(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("failed to load trace: {e}");
-            std::process::exit(1);
-        })
+        match workloads::trace::load(std::path::Path::new(path)) {
+            Ok(streams) => streams,
+            Err(e) => {
+                eprintln!("failed to load trace: {e}");
+                return ExitCode::from(1);
+            }
+        }
     } else {
         (0..args.lanes)
             .map(|l| spec.lane_items(l, args.lanes, args.scale))
@@ -119,13 +101,13 @@ fn main() {
     if let Some(path) = &args.trace_out {
         if let Err(e) = workloads::trace::save(std::path::Path::new(path), &streams) {
             eprintln!("failed to save trace: {e}");
-            std::process::exit(1);
+            return ExitCode::from(1);
         }
         eprintln!("trace written to {path}");
     }
 
     let pages = spec.pages(args.scale);
-    let capacity = (((pages as f64 * args.rate) as u64).max(32) / 16 * 16) as u32;
+    let capacity = capacity_for(pages, args.rate);
     let engine = args.policy.build(args.seed);
     let t0 = std::time::Instant::now();
     let r = simulate(&gpu, engine, &streams, capacity, pages);
@@ -192,4 +174,5 @@ fn main() {
         );
     }
     eprintln!("(wall time {wall:.2?})");
+    ExitCode::SUCCESS
 }

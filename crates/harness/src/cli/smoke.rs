@@ -1,38 +1,38 @@
-//! Quick smoke run: one workload, baseline vs CPPE, timing info.
+//! `cppe smoke [WORKLOAD] [SCALE] [--trace] [--trace-format F]` — one
+//! workload, baseline vs CPPE vs prefetch-off-when-full at 75 % and 50 %,
+//! with wall-clock timing.
 //!
-//! Usage: `smoke [WORKLOAD] [SCALE] [--trace] [--trace-format F]`.
-//! With tracing on, the CPPE run at 50% oversubscription additionally
+//! With tracing on, the CPPE run at 50 % oversubscription additionally
 //! exports `results/smoke_timeline.csv`, `results/smoke_summary.json`
 //! and `results/smoke_trace.json` according to the format selection.
 
+use super::flag_value;
+use crate::{run_cell, ExpConfig};
 use cppe::presets::PolicyPreset;
-use harness::{run_cell, ExpConfig};
+use std::process::ExitCode;
 use telemetry::{export, TraceFormat};
 use workloads::registry;
 
-fn main() {
-    let mut which = "STN".to_string();
+pub(super) fn main(args: &[String]) -> ExitCode {
+    let mut which = "STN";
     let mut scale = 0.5f64;
     let mut positional = 0;
     let mut trace = false;
     let mut format = TraceFormat::Csv;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--trace" => trace = true,
             "--trace-format" => {
-                i += 1;
-                format = args
-                    .get(i)
+                format = flag_value(args, &mut i)
                     .map(|s| TraceFormat::parse(s).expect("bad --trace-format"))
                     .expect("--trace-format needs csv|json|chrome|all");
                 trace = true;
             }
             other => {
                 match positional {
-                    0 => which = other.to_string(),
+                    0 => which = other,
                     1 => scale = other.parse().expect("SCALE must be a number"),
                     _ => panic!("unexpected argument: {other}"),
                 }
@@ -49,7 +49,7 @@ fn main() {
     cfg.gpu.trace.enabled = trace;
     cfg.trace_format = format;
 
-    let w = registry::by_abbr(&which).expect("unknown workload");
+    let w = registry::by_abbr(which).expect("unknown workload");
     for preset in [
         PolicyPreset::Baseline,
         PolicyPreset::Cppe,
@@ -83,10 +83,11 @@ fn main() {
             }
         }
     }
+    ExitCode::SUCCESS
 }
 
 fn save(name: &str, content: &str) {
-    match harness::report::save(name, content) {
+    match crate::report::save(name, content) {
         Ok(path) => eprintln!("[smoke] saved {}", path.display()),
         Err(e) => eprintln!("[smoke] could not save {name}: {e}"),
     }

@@ -3,10 +3,8 @@
 //! robust (median/MAD) significance bar plus an HTML dashboard.
 //!
 //! ```text
-//! cargo run --release -p harness --bin trend -- \
-//!     record --file BENCH_speed.json --label my-run [--history PATH]
-//! cargo run --release -p harness --bin trend -- \
-//!     report [--history PATH] [--out results/trend.html]
+//! cppe trend record --file BENCH_speed.json --label my-run [--history PATH]
+//! cppe trend report [--history PATH] [--out results/trend.html]
 //! ```
 //!
 //! `record` accepts any of the repo's bench exports (`cppe-speed-v1`,
@@ -16,23 +14,17 @@
 //! writes the self-contained dashboard (inline SVG sparklines, no
 //! scripts) — exit 1 when the ledger is missing or empty.
 
-use harness::history;
+use super::flag_value;
+use crate::history;
 use std::path::PathBuf;
+use std::process::ExitCode;
 
 const DEFAULT_HISTORY: &str = "bench-history/history.jsonl";
 
-fn take<'a>(args: &'a [String], i: &mut usize, what: &str) -> &'a str {
-    *i += 1;
-    args.get(*i)
-        .map(String::as_str)
-        .unwrap_or_else(|| panic!("{what} needs a value"))
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+pub(super) fn main(args: &[String]) -> ExitCode {
     let Some(cmd) = args.first().map(String::as_str) else {
-        eprintln!("usage: trend record --file F --label L | trend report [--out PATH]");
-        std::process::exit(2);
+        eprintln!("usage: cppe trend record --file F --label L | cppe trend report [--out PATH]");
+        return ExitCode::from(2);
     };
     let mut history = PathBuf::from(DEFAULT_HISTORY);
     let mut file = None;
@@ -40,11 +32,14 @@ fn main() {
     let mut out = PathBuf::from("results").join("trend.html");
     let mut i = 1;
     while i < args.len() {
-        match args[i].as_str() {
-            "--history" => history = PathBuf::from(take(&args, &mut i, "--history")),
-            "--file" => file = Some(PathBuf::from(take(&args, &mut i, "--file"))),
-            "--label" => label = Some(take(&args, &mut i, "--label").to_string()),
-            "--out" => out = PathBuf::from(take(&args, &mut i, "--out")),
+        let flag = args[i].as_str();
+        let mut value =
+            || flag_value(args, &mut i).unwrap_or_else(|| panic!("{flag} needs a value"));
+        match flag {
+            "--history" => history = PathBuf::from(value()),
+            "--file" => file = Some(PathBuf::from(value())),
+            "--label" => label = Some(value().to_string()),
+            "--out" => out = PathBuf::from(value()),
             other => panic!("unknown argument: {other}"),
         }
         i += 1;
@@ -104,7 +99,8 @@ fn main() {
         }
         other => {
             eprintln!("unknown command {other:?}; use record or report");
-            std::process::exit(2);
+            return ExitCode::from(2);
         }
     }
+    ExitCode::SUCCESS
 }

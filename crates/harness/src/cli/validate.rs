@@ -15,7 +15,7 @@
 //! smoke/timeline/profile/audit runs; exits non-zero on the first
 //! malformed artifact.
 //!
-//! Usage: `validate-trace [DIR]` (default `results`).
+//! Usage: `cppe validate-trace [DIR]` (default `results`).
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -38,12 +38,12 @@ fn validate_json_artifact(name: &str, body: &str) -> Result<String, String> {
     if name == "BENCH_profile.json" {
         let marker = format!(
             "\"schema\":{}",
-            telemetry::json::string(harness::experiments::profile::SCHEMA)
+            telemetry::json::string(crate::experiments::profile::SCHEMA)
         );
         if !body.starts_with('{') || !body.contains(&marker) {
             return Err(format!(
                 "missing schema marker {:?}",
-                harness::experiments::profile::SCHEMA
+                crate::experiments::profile::SCHEMA
             ));
         }
         if !body.contains("\"app\":") || !body.contains("\"p99\":") {
@@ -55,17 +55,17 @@ fn validate_json_artifact(name: &str, body: &str) -> Result<String, String> {
         // hostprof::validate_doc parses and checks counter consistency,
         // attribution coverage, queue-quantile ordering, cohort sanity
         // and speedup-ceiling monotonicity itself.
-        return harness::experiments::hostprof::validate_doc(body);
+        return crate::experiments::hostprof::validate_doc(body);
     }
     if name == "BENCH_audit.json" {
         let marker = format!(
             "\"schema\":{}",
-            telemetry::json::string(harness::experiments::audit::SCHEMA)
+            telemetry::json::string(crate::experiments::audit::SCHEMA)
         );
         if !body.starts_with('{') || !body.contains(&marker) {
             return Err(format!(
                 "missing schema marker {:?}",
-                harness::experiments::audit::SCHEMA
+                crate::experiments::audit::SCHEMA
             ));
         }
         if !body.contains("\"app\":")
@@ -98,9 +98,8 @@ fn validate_jsonl(body: &str) -> Result<String, String> {
     Ok(format!("{lines} JSONL lines"))
 }
 
-fn main() -> ExitCode {
-    let dir = std::env::args().nth(1).unwrap_or_else(|| "results".into());
-    let dir = Path::new(&dir);
+pub(super) fn main(args: &[String]) -> ExitCode {
+    let dir = Path::new(args.first().map_or("results", String::as_str));
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
         Err(e) => {

@@ -31,7 +31,7 @@
 //! the measurement (same env contract as the sweep orchestrator).
 
 use crate::report::{save, Table};
-use crate::runner::{capacity_pages, ExpConfig};
+use crate::runner::{capacity_for, capacity_pages, ExpConfig};
 use cppe::presets::PolicyPreset;
 use gmmu::types::{VirtPage, PAGES_PER_CHUNK};
 use gpu::simulate;
@@ -150,19 +150,6 @@ pub fn serving_streams(lanes: usize, scale: f64) -> (Vec<Vec<LaneItem>>, u64) {
     (streams, pages)
 }
 
-/// Capacity for a raw page footprint: `rate × pages`, whole chunks, at
-/// least two chunks (mirrors [`capacity_pages`] for registry specs).
-fn capacity_for(pages: u64, rate: f64) -> u32 {
-    #[allow(
-        clippy::cast_sign_loss,
-        clippy::cast_possible_truncation,
-        clippy::cast_precision_loss
-    )]
-    let cap = (pages as f64 * rate).round() as u64;
-    let chunks = (cap / PAGES_PER_CHUNK).max(2);
-    u32::try_from(chunks * PAGES_PER_CHUNK).unwrap_or(u32::MAX)
-}
-
 fn best(times: Vec<f64>) -> f64 {
     times.into_iter().fold(f64::INFINITY, f64::min)
 }
@@ -182,7 +169,7 @@ pub fn measure(cfg: &ExpConfig) -> Vec<HostprofCell> {
 /// [`measure`] at an explicit workload scale and oversubscription rate
 /// (capacity = `rate × footprint`). The ROADMAP's parallelism item
 /// needs cohort shapes at full scale / high oversubscription, not just
-/// the bench point — `--bin hostprof --scale 1.0 --rate 0.25` runs
+/// the bench point — `cppe hostprof --scale 1.0 --rate 0.25` runs
 /// this.
 ///
 /// # Panics
@@ -691,7 +678,7 @@ pub fn render_report_at(cells: &[HostprofCell], scale: f64, rate: f64) -> String
 
 /// Live `/metrics` + `/status` server handle for a hostprof run,
 /// armed by `CPPE_STATUS_PORT` (same env contract as the sweep
-/// binaries). Dropping it stops the server.
+/// subcommands). Dropping it stops the server.
 pub struct StatusHandle {
     _server: telemetry::StatusServer,
     ops: std::sync::Arc<HostprofOps>,
@@ -863,12 +850,6 @@ mod tests {
         };
         assert!(max_page(&a[3]) > max_page(&a[0]));
         assert!(max_page(&a[3]) < pages_a);
-    }
-
-    #[test]
-    fn capacity_for_rounds_to_chunks_with_floor() {
-        assert_eq!(u64::from(capacity_for(256, 0.5)) % PAGES_PER_CHUNK, 0);
-        assert_eq!(u64::from(capacity_for(10, 0.01)), 2 * PAGES_PER_CHUNK);
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! One module per paper artifact.
 //!
-//! Every module exposes `run(cfg, threads) -> String`: a self-contained
-//! text report with the same rows/series as the paper's table or figure.
-//! The `src/bin/*` binaries are thin wrappers that print the report and
-//! save it under `results/`.
+//! Every module exposes a self-contained text report with the same
+//! rows/series as the paper's table or figure. Those with
+//! `run(cfg, threads) -> String` are `cppe` subcommands of the same name
+//! (see [`crate::cli`]), which print the report and save it under
+//! `results/`; `speed` and `hostprof` back the `cppe speed` and
+//! `cppe hostprof` gates.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
+//! | [`table2`] | Table II — the workload inventory |
 //! | [`fig3`] | Fig. 3 — LRU vs Random vs reserved LRU (50 % oversub) |
 //! | [`fig4`] | Fig. 4 — eviction blow-up from prefetching when full |
 //! | [`table3`] | Table III — max untouch level, first four intervals |
@@ -47,13 +50,14 @@ pub mod sens;
 pub mod sens2;
 pub mod speed;
 pub mod stability;
+pub mod table2;
 pub mod table3;
 pub mod table4;
 pub mod timeline;
 
 use crate::runner::ExpConfig;
 
-/// Parse the common binary CLI:
+/// Parse the common experiment CLI:
 /// `[--quick] [--scale X] [--threads N] [--trace] [--trace-format F]
 /// [--monitor]`.
 /// Returns the config and thread count. `--trace-format` implies
@@ -104,20 +108,6 @@ pub fn cli_config(args: &[String]) -> (ExpConfig, usize) {
         i += 1;
     }
     (cfg, threads)
-}
-
-/// Standard binary main body: run the experiment, print, save.
-pub fn binary_main(name: &str, run: impl Fn(&ExpConfig, usize) -> String) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (cfg, threads) = cli_config(&args);
-    let t0 = std::time::Instant::now();
-    let report = run(&cfg, threads);
-    println!("{report}");
-    eprintln!("[{name}] completed in {:.1?}", t0.elapsed());
-    match crate::report::save(&format!("{name}.txt"), &report) {
-        Ok(path) => eprintln!("[{name}] saved to {}", path.display()),
-        Err(e) => eprintln!("[{name}] could not save results: {e}"),
-    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! that creep in over several PRs are invisible to any single snapshot
 //! diff. This module keeps a fingerprint-keyed JSONL ledger
 //! (`bench-history/history.jsonl`, schema [`HISTORY_SCHEMA`]) that the
-//! `trend` binary appends each bench summary to and reads back to
+//! `cppe trend` subcommand appends each bench summary to and reads back to
 //! compute per-cell deltas — latest value against the median of its
 //! own history, flagged significant beyond 3 robust sigmas
 //! (`1.4826 × MAD`) — plus a self-contained HTML dashboard with inline

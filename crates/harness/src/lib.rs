@@ -1,9 +1,10 @@
 //! # harness — experiment harness for the CPPE reproduction
 //!
-//! Regenerates every table and figure of the paper's evaluation. Each
-//! `src/bin/*` binary reproduces one artifact (see DESIGN.md's
+//! Regenerates every table and figure of the paper's evaluation. The
+//! `cppe` binary runs one artifact per subcommand (see DESIGN.md's
 //! experiment index); the library provides the shared machinery:
 //!
+//! * [`cli`] — the `cppe` subcommand table and its tools,
 //! * [`runner`] — one (workload × policy × rate) cell,
 //! * [`sweep`] — the parallel sweep executor,
 //! * [`orchestrator`] — the crash-safe sweep service (leased work
@@ -14,6 +15,7 @@
 //! * [`oracle`] — the decision-audit comparator against that bound,
 //! * [`experiments`] — one module per paper artifact.
 
+pub mod cli;
 pub mod experiments;
 pub mod history;
 pub mod opt;
@@ -23,5 +25,5 @@ pub mod report;
 pub mod runner;
 pub mod sweep;
 
-pub use runner::{capacity_pages, geomean, run_cell, speedup, ExpConfig, RATES};
+pub use runner::{capacity_for, capacity_pages, geomean, run_cell, speedup, ExpConfig, RATES};
 pub use sweep::{cross, run_sweep, Job};

@@ -843,39 +843,6 @@ fn serial_drain<F>(
     }
 }
 
-/// Parse a policy label (as printed by [`PolicyPreset::label`]) back
-/// into its preset — the `orchestrate` binary's `--policies` values.
-#[must_use]
-pub fn parse_policy(label: &str) -> Option<PolicyPreset> {
-    let fixed = [
-        PolicyPreset::Baseline,
-        PolicyPreset::Random,
-        PolicyPreset::ReservedLru10,
-        PolicyPreset::ReservedLru20,
-        PolicyPreset::DisablePfOnFull,
-        PolicyPreset::Cppe,
-        PolicyPreset::CppeScheme1,
-        PolicyPreset::MhpeOnly,
-        PolicyPreset::HpeNaive,
-        PolicyPreset::HpeNoPf,
-        PolicyPreset::LruNoPf,
-        PolicyPreset::LruTree,
-        PolicyPreset::MhpeNoSwitch,
-        PolicyPreset::Clock,
-        PolicyPreset::Srrip,
-    ];
-    if let Some(p) = fixed.into_iter().find(|p| p.label() == label) {
-        return Some(p);
-    }
-    if let Some(fd) = label.strip_prefix("mhpe-fd") {
-        return fd.parse().ok().map(PolicyPreset::MhpeFixedFd);
-    }
-    if let Some(t3) = label.strip_prefix("mhpe-t3-") {
-        return t3.parse().ok().map(PolicyPreset::MhpeT3);
-    }
-    None
-}
-
 /// Render an orchestrated sweep as a report: per-cell table plus the
 /// orchestrator counters.
 #[must_use]
@@ -992,33 +959,6 @@ mod tests {
         let v = json::parse("{\"fp\":\"x\"}").unwrap();
         let err = CellEntry::from_json(&v).unwrap_err();
         assert!(err.contains("missing/mistyped"));
-    }
-
-    #[test]
-    fn policy_labels_round_trip() {
-        let all = [
-            PolicyPreset::Baseline,
-            PolicyPreset::Random,
-            PolicyPreset::ReservedLru10,
-            PolicyPreset::ReservedLru20,
-            PolicyPreset::DisablePfOnFull,
-            PolicyPreset::Cppe,
-            PolicyPreset::CppeScheme1,
-            PolicyPreset::MhpeOnly,
-            PolicyPreset::HpeNaive,
-            PolicyPreset::HpeNoPf,
-            PolicyPreset::LruNoPf,
-            PolicyPreset::LruTree,
-            PolicyPreset::MhpeFixedFd(5),
-            PolicyPreset::MhpeT3(24),
-            PolicyPreset::MhpeNoSwitch,
-            PolicyPreset::Clock,
-            PolicyPreset::Srrip,
-        ];
-        for p in all {
-            assert_eq!(parse_policy(&p.label()), Some(p), "label {:?}", p.label());
-        }
-        assert_eq!(parse_policy("bogus"), None);
     }
 
     #[test]

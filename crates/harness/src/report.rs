@@ -1,4 +1,4 @@
-//! Plain-text table / CSV emitters for the experiment binaries.
+//! Plain-text table / CSV emitters for the experiment subcommands.
 //!
 //! CSV rendering delegates to `telemetry`'s schema-checked
 //! [`CsvWriter`], so every CSV the workspace emits shares one escaping
@@ -111,8 +111,8 @@ pub fn loss_section(t: &telemetry::RunTelemetry) -> String {
 }
 
 /// Write `content` under `results/<name>` (best-effort; the text is
-/// always also printed by the binaries). Written via tmp-file + atomic
-/// rename so a killed binary leaves either the previous artifact or
+/// always also printed by the subcommands). Written via tmp-file + atomic
+/// rename so a killed process leaves either the previous artifact or
 /// the new one — never a torn half-file a CI diff would misread.
 pub fn save(name: &str, content: &str) -> std::io::Result<std::path::PathBuf> {
     let dir = std::path::Path::new("results");

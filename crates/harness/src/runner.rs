@@ -67,10 +67,20 @@ impl ExpConfig {
 /// rate: `rate × footprint`, whole chunks, at least two chunks.
 #[must_use]
 pub fn capacity_pages(spec: &WorkloadSpec, rate: f64, scale: f64) -> u32 {
-    let pages = spec.pages(scale) as f64;
-    let cap = (pages * rate).round() as u64;
+    capacity_for(spec.pages(scale), rate)
+}
+
+/// [`capacity_pages`] for a raw page footprint.
+#[must_use]
+pub fn capacity_for(pages: u64, rate: f64) -> u32 {
+    #[allow(
+        clippy::cast_sign_loss,
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss
+    )]
+    let cap = (pages as f64 * rate).round() as u64;
     let chunks = (cap / PAGES_PER_CHUNK).max(2);
-    (chunks * PAGES_PER_CHUNK) as u32
+    u32::try_from(chunks * PAGES_PER_CHUNK).unwrap_or(u32::MAX)
 }
 
 /// Run one cell of the evaluation matrix.
@@ -130,6 +140,13 @@ mod tests {
     fn capacity_floor_two_chunks() {
         let w = registry::by_abbr("STN").unwrap();
         assert_eq!(capacity_pages(&w, 0.01, 0.25), 32);
+    }
+
+    #[test]
+    fn capacity_rounds_a_fractional_footprint() {
+        // 95 × 0.5 = 47.5 pages rounds to 48: three whole chunks, not two.
+        assert_eq!(capacity_for(95, 0.5), 48);
+        assert_eq!(capacity_for(94, 0.5), 32);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! cells, workers hold leases (so a panicking cell is retried and then
 //! recorded as failed instead of aborting the whole sweep), and results
 //! come back keyed by `(workload, policy-label, rate)` for
-//! deterministic assembly. The experiment binaries keep their
-//! fire-and-forget in-memory view; the `orchestrate` binary adds the
+//! deterministic assembly. The experiment subcommands keep their
+//! fire-and-forget in-memory view; `cppe orchestrate` adds the
 //! persistent store and `--resume` on the same machinery.
 
 use crate::orchestrator::{orchestrate_with, CellSpec, OrchestratorConfig};
@@ -87,7 +87,7 @@ where
     let cells: Vec<CellSpec> = jobs.iter().map(|j| j.to_cell(cfg)).collect();
     let mut ocfg = OrchestratorConfig::new(*cfg);
     ocfg.threads = threads;
-    // Long-running experiment binaries get the ops plane via env:
+    // Long-running experiment subcommands get the ops plane via env:
     // CPPE_FLIGHT_PATH arms the crash flight recorder (default path
     // under results/ when set empty), CPPE_STATUS_PORT starts a
     // /metrics + /status server on 127.0.0.1 for the sweep's duration.

@@ -7,7 +7,7 @@
 //! decomposition per contended resource, and fault-time totals per SM
 //! and per page region — the three views the paper's 20 µs far-fault
 //! budget breaks down into. The harness renders these as report tables;
-//! the `profile` binary exports them as `BENCH_profile.json`.
+//! `cppe profile` exports them as `BENCH_profile.json`.
 
 use crate::span::{SpanRecord, SpanStage};
 use sim_core::stats::Histogram;

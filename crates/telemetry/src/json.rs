@@ -2,8 +2,8 @@
 //!
 //! The exporters build JSON by hand (this crate takes no external
 //! dependencies), so the escaping rules and a parser live here.
-//! [`validate`] is a strict syntax check used by tests and the
-//! `validate-trace` binary to guarantee every emitted document is
+//! [`validate`] is a strict syntax check used by tests and
+//! `cppe validate-trace` to guarantee every emitted document is
 //! well-formed; [`parse`] returns the document as a [`Value`] tree —
 //! the orchestrator's result store uses it to read its JSONL journal
 //! and snapshot back on `--resume`.

@@ -14,6 +14,7 @@ use cppe::presets::PolicyPreset;
 use gpu::{simulate, GpuConfig, Outcome, RunResult};
 use harness::runner::capacity_pages;
 use sim_core::fault::InjectionConfig;
+use telemetry::TraceConfig;
 use uvm::driver::ResilienceConfig;
 use workloads::registry;
 
@@ -35,16 +36,17 @@ fn scenarios(seed: u64) -> Vec<(&'static str, InjectionConfig)> {
     ]
 }
 
-fn run_one(
+fn run_with(
     abbr: &str,
     preset: PolicyPreset,
     injection: InjectionConfig,
     resilience: ResilienceConfig,
+    trace: TraceConfig,
 ) -> RunResult {
     let spec = registry::by_abbr(abbr).expect("known app");
     let gpu = GpuConfig {
         warps_per_sm: 1,
-        record_timeline: true,
+        trace,
         injection,
         resilience,
         ..GpuConfig::default()
@@ -56,6 +58,40 @@ fn run_one(
     let capacity = capacity_pages(&spec, 0.5, SCALE);
     let engine = preset.build(0xC0FFEE ^ spec.seed);
     simulate(&gpu, engine, &streams, capacity, spec.pages(SCALE))
+}
+
+/// One chaos cell, run untraced so the other invariants hold on the
+/// tracing-off path. Its traced twin must end the same way (tracing is
+/// read-only) and supplies the per-batch epoch series for (4).
+fn run_one(
+    abbr: &str,
+    preset: PolicyPreset,
+    injection: InjectionConfig,
+    resilience: ResilienceConfig,
+) -> RunResult {
+    let r = run_with(abbr, preset, injection, resilience, TraceConfig::default());
+    let twin = run_with(abbr, preset, injection, resilience, TraceConfig::on());
+    let label = format!("{abbr}/{}", preset.label());
+    assert_eq!(
+        (
+            twin.outcome,
+            twin.cycles,
+            twin.accesses,
+            twin.resident_pages
+        ),
+        (r.outcome, r.cycles, r.accesses, r.resident_pages),
+        "{label}: tracing changed the run"
+    );
+    // (4) monotone event time and cumulative counters in the per-batch
+    // epoch series.
+    let series = &twin.telemetry.as_ref().expect("traced run").series;
+    for w in series.rows.windows(2) {
+        assert!(w[0].cycle <= w[1].cycle, "{label}: time ran backwards");
+    }
+    series
+        .parity()
+        .unwrap_or_else(|e| panic!("{label}: counter regressed: {e}"));
+    r
 }
 
 /// Structural invariants every chaos run must uphold regardless of how
@@ -79,22 +115,7 @@ fn assert_invariants(label: &str, r: &RunResult) {
         r.resident_pages <= u64::from(r.frames_capacity),
         "{label}: more resident pages than frames"
     );
-    // (4) monotone event time and cumulative counters in the timeline.
-    for w in r.timeline.windows(2) {
-        assert!(w[0].cycle <= w[1].cycle, "{label}: time ran backwards");
-        assert!(
-            w[0].faults <= w[1].faults,
-            "{label}: fault counter regressed"
-        );
-        assert!(
-            w[0].pages_migrated <= w[1].pages_migrated,
-            "{label}: migration counter regressed"
-        );
-        assert!(
-            w[0].pages_evicted <= w[1].pages_evicted,
-            "{label}: eviction counter regressed"
-        );
-    }
+    // (4) is checked on the traced twin in `run_one`.
     // Migration accounting closes: everything resident was migrated.
     assert!(
         r.engine.pages_migrated >= r.resident_pages,

@@ -18,6 +18,9 @@
 //! adds proptest-generated stream shapes on top (same convention as
 //! `tests/properties.rs`).
 
+mod common;
+
+use common::fnv;
 use cppe::presets::PolicyPreset;
 use gmmu::types::VirtPage;
 use gpu::{GpuConfig, RunResult};
@@ -25,11 +28,6 @@ use harness::{capacity_pages, ExpConfig};
 use telemetry::TraceConfig;
 use workloads::registry;
 use workloads::types::{AccessStep, LaneItem};
-
-fn fnv(h: &mut u64, v: u64) {
-    *h ^= v;
-    *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-}
 
 fn fnv_str(h: &mut u64, s: &str) {
     for b in s.as_bytes() {
@@ -44,13 +42,14 @@ fn fnv_str(h: &mut u64, s: &str) {
 #[derive(Debug, PartialEq, Eq)]
 struct Fp {
     head: String,
-    timeline_len: usize,
-    timeline_hash: u64,
+    timeline: (usize, u64),
     telemetry: Option<(usize, usize, usize, u64)>,
     hostprof_present: bool,
 }
 
-fn fp(r: &RunResult) -> Fp {
+/// Fingerprint `r`, taking the per-batch timeline from `traced` — `r`
+/// itself when it was traced, else a traced twin of the same run.
+fn fp(r: &RunResult, traced: &RunResult) -> Fp {
     let head = format!(
         "{:?} err={:?} cycles={} accesses={} {:?} {:?} {:?} h2d={} d2h={} wrong={} \
          pbuf={} cap={} free={} resident={} {:?} mhpe={}",
@@ -71,14 +70,7 @@ fn fp(r: &RunResult) -> Fp {
         r.injection,
         r.mhpe.is_some(),
     );
-    let mut th: u64 = 0xCBF2_9CE4_8422_2325;
-    for p in &r.timeline {
-        fnv(&mut th, p.cycle);
-        fnv(&mut th, p.faults);
-        fnv(&mut th, p.pages_migrated);
-        fnv(&mut th, p.pages_evicted);
-        fnv(&mut th, p.resident_pages);
-    }
+    let series = &traced.telemetry.as_ref().expect("traced run").series;
     let telemetry = r.telemetry.as_ref().map(|t| {
         let mut eh: u64 = 0xCBF2_9CE4_8422_2325;
         for e in &t.events {
@@ -100,49 +92,64 @@ fn fp(r: &RunResult) -> Fp {
     });
     Fp {
         head,
-        timeline_len: r.timeline.len(),
-        timeline_hash: th,
+        timeline: common::timeline_hash(series),
         telemetry,
         hostprof_present: r.hostprof.is_some(),
     }
 }
 
-fn gpu_cfg(fast_lane: bool) -> GpuConfig {
-    GpuConfig {
-        record_timeline: true,
-        fast_lane,
-        ..ExpConfig::default().gpu
+/// Run `sim` through the fast lane and the round-trip path from the
+/// paper's GPU config (edited by `mutate`), and assert both fingerprint
+/// the same. An untraced run gets a traced twin for its timeline, so
+/// the tracing-off path is diffed too.
+fn assert_paths_agree(
+    mutate: &dyn Fn(&mut GpuConfig),
+    sim: &dyn Fn(&GpuConfig) -> RunResult,
+    what: &str,
+) {
+    let mut results = Vec::new();
+    for fast_lane in [true, false] {
+        let mut cfg = GpuConfig {
+            fast_lane,
+            ..ExpConfig::default().gpu
+        };
+        mutate(&mut cfg);
+        let r = sim(&cfg);
+        results.push(if cfg.trace.enabled {
+            fp(&r, &r)
+        } else {
+            let twin = sim(&GpuConfig {
+                trace: TraceConfig::on(),
+                ..cfg
+            });
+            fp(&r, &twin)
+        });
     }
+    assert_eq!(
+        results[0], results[1],
+        "{what} diverged between fast-lane and legacy paths"
+    );
 }
 
 /// Run one paper cell with the fast lane toggled.
 fn paper_cell(abbr: &str, preset: PolicyPreset, scale: f64, mutate: &dyn Fn(&mut GpuConfig)) {
     let spec = registry::by_abbr(abbr).expect("known app");
     let capacity = capacity_pages(&spec, 0.5, scale);
-    let mut results = Vec::new();
-    for fast_lane in [true, false] {
-        let mut cfg = gpu_cfg(fast_lane);
-        mutate(&mut cfg);
+    let seed = ExpConfig::default().seed ^ spec.seed;
+    let sim = |cfg: &GpuConfig| {
         let lanes = cfg.lanes();
         let streams: Vec<_> = (0..lanes)
             .map(|l| spec.lane_items(l, lanes, scale))
             .collect();
-        let seed = ExpConfig::default().seed ^ spec.seed;
-        let engine = preset.build(seed);
-        results.push(fp(&gpu::simulate(
-            &cfg,
-            engine,
+        gpu::simulate(
+            cfg,
+            preset.build(seed),
             &streams,
             capacity,
             spec.pages(scale),
-        )));
-    }
-    assert_eq!(
-        results[0],
-        results[1],
-        "{abbr}/{} diverged between fast-lane and legacy paths",
-        preset.label()
-    );
+        )
+    };
+    assert_paths_agree(mutate, &sim, &format!("{abbr}/{}", preset.label()));
 }
 
 /// Deterministic xorshift64 stream.
@@ -202,21 +209,11 @@ fn synthetic_cell(
     mutate: &dyn Fn(&mut GpuConfig),
 ) {
     let streams = random_streams(seed, lanes, rounds, per_round, footprint);
-    let mut results = Vec::new();
-    for fast_lane in [true, false] {
-        let mut cfg = gpu_cfg(fast_lane);
-        mutate(&mut cfg);
+    let sim = |cfg: &GpuConfig| {
         let engine = preset.build(seed ^ 0xD1B5_4A32_D192_ED03);
-        results.push(fp(&gpu::simulate(
-            &cfg, engine, &streams, capacity, footprint,
-        )));
-    }
-    assert_eq!(
-        results[0],
-        results[1],
-        "seed {seed:#x}/{} diverged between fast-lane and legacy paths",
-        preset.label()
-    );
+        gpu::simulate(cfg, engine, &streams, capacity, footprint)
+    };
+    assert_paths_agree(mutate, &sim, &format!("seed {seed:#x}/{}", preset.label()));
 }
 
 /// The six golden cells (at reduced scale — the release-mode identity
@@ -291,13 +288,8 @@ fn single_lane_long_streaks_agree() {
             })
         })
         .collect::<Vec<_>>()];
-    let mut results = Vec::new();
-    for fast_lane in [true, false] {
-        let cfg = gpu_cfg(fast_lane);
-        let engine = PolicyPreset::Cppe.build(7);
-        results.push(fp(&gpu::simulate(&cfg, engine, &streams, 64, 48)));
-    }
-    assert_eq!(results[0], results[1]);
+    let sim = |cfg: &GpuConfig| gpu::simulate(cfg, PolicyPreset::Cppe.build(7), &streams, 64, 48);
+    assert_paths_agree(&|_| {}, &sim, "single lane");
 }
 
 /// With tracing + decision auditing on, the typed event, span and
@@ -365,13 +357,11 @@ mod prop {
             let preset = if cppe { PolicyPreset::Cppe } else { PolicyPreset::Baseline };
             let capacity = (cap_chunks * gmmu::types::PAGES_PER_CHUNK) as u32;
             let streams = random_streams(seed | 1, lanes, rounds, per_round, footprint);
-            let mut results = Vec::new();
-            for fast_lane in [true, false] {
-                let cfg = gpu_cfg(fast_lane);
+            let sim = |cfg: &GpuConfig| {
                 let engine = preset.build(seed ^ 0x9E37_79B9_7F4A_7C15);
-                results.push(fp(&gpu::simulate(&cfg, engine, &streams, capacity, footprint)));
-            }
-            prop_assert_eq!(&results[0], &results[1]);
+                gpu::simulate(cfg, engine, &streams, capacity, footprint)
+            };
+            assert_paths_agree(&|_| {}, &sim, "proptest stream");
         }
     }
 }

@@ -4,25 +4,39 @@
 //! single cycle, fault or byte. This test replays the exact
 //! `perf_identity` golden cells (STN/KMN/SRD × baseline/CPPE at scale
 //! 0.25, rate 0.5, default seed) **with profiling enabled** and asserts
-//! the same golden counters and timeline hash — so the lock holds under
-//! profiling, not just without it. It also checks the profiler's own
-//! guarantees on real runs: ≥90 % wall attribution, event accounting
-//! that matches the driver's batch counters, and the zero-cost-off
-//! contract (no profile object on a default run).
+//! the same golden cycles, both untraced and traced, and the golden
+//! timeline hash (read from the traced run's per-batch epoch series) —
+//! so the lock holds under profiling, not just without it. It also
+//! checks the profiler's own guarantees on real runs: ≥90 % wall
+//! attribution, event accounting that matches the driver's batch
+//! counters, and the zero-cost-off contract (no profile object on a
+//! default run).
+
+mod common;
 
 use cppe::presets::PolicyPreset;
 use gpu::GpuConfig;
 use harness::experiments::hostprof::{hostprof_json, validate_doc, HostprofCell};
 use harness::{capacity_pages, ExpConfig};
 use sim_core::hostprof::HostKind;
+use telemetry::TraceConfig;
 use workloads::registry;
 
 fn run_profiled(abbr: &str, preset: PolicyPreset, hostprof: bool) -> gpu::RunResult {
+    run_with(abbr, preset, hostprof, TraceConfig::default())
+}
+
+fn run_with(
+    abbr: &str,
+    preset: PolicyPreset,
+    hostprof: bool,
+    trace: TraceConfig,
+) -> gpu::RunResult {
     let cfg = ExpConfig {
         scale: 0.25,
         gpu: GpuConfig {
-            record_timeline: true,
             hostprof,
+            trace,
             ..ExpConfig::default().gpu
         },
         ..ExpConfig::default()
@@ -35,23 +49,6 @@ fn run_profiled(abbr: &str, preset: PolicyPreset, hostprof: bool) -> gpu::RunRes
     let capacity = capacity_pages(&spec, 0.5, cfg.scale);
     let engine = preset.build(cfg.seed ^ spec.seed);
     gpu::simulate(&cfg.gpu, engine, &streams, capacity, spec.pages(cfg.scale))
-}
-
-fn fnv(h: &mut u64, v: u64) {
-    *h ^= v;
-    *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-}
-
-fn timeline_hash(r: &gpu::RunResult) -> u64 {
-    let mut th: u64 = 0xCBF2_9CE4_8422_2325;
-    for p in &r.timeline {
-        fnv(&mut th, p.cycle);
-        fnv(&mut th, p.faults);
-        fnv(&mut th, p.pages_migrated);
-        fnv(&mut th, p.pages_evicted);
-        fnv(&mut th, p.resident_pages);
-    }
-    th
 }
 
 /// The same golden (cycles, timeline hash) pairs `perf_identity.rs`
@@ -71,15 +68,19 @@ fn golden() -> Vec<(&'static str, PolicyPreset, u64, u64)> {
 #[test]
 fn profiled_runs_match_the_golden_fingerprints() {
     for (abbr, preset, cycles, hash) in golden() {
+        // Cycles from a profiled run with tracing off (the setup the
+        // `hostprof` arms use); the timeline from a profiled, traced twin.
         let r = run_profiled(abbr, preset, true);
+        let traced = run_with(abbr, preset, true, TraceConfig::on());
+        let series = &traced.telemetry.as_ref().expect("traced run").series;
         assert_eq!(
-            (r.cycles, timeline_hash(&r)),
-            (cycles, hash),
+            (r.cycles, traced.cycles, common::timeline_hash(series).1),
+            (cycles, cycles, hash),
             "{abbr}/{} diverged under profiling — the profiler is not read-only",
             preset.label()
         );
         assert!(
-            r.hostprof.is_some(),
+            r.hostprof.is_some() && traced.hostprof.is_some(),
             "{abbr}: profiling-on run lost its profile"
         );
     }

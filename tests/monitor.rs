@@ -49,7 +49,6 @@ fn monitored_runs_match_golden_fingerprints() {
         let cfg = ExpConfig {
             scale: 0.25,
             gpu: GpuConfig {
-                record_timeline: true,
                 trace: telemetry::TraceConfig::monitored(),
                 ..ExpConfig::default().gpu
             },

@@ -9,11 +9,16 @@
 //! default seed) and lock every observable counter plus an FNV-1a hash
 //! of the full per-batch timeline. Any future "optimisation" that
 //! shifts one cycle or reorders one batch fails here, not in a paper
-//! figure.
+//! figure. The counters come from an untraced run, so the tracing-off
+//! path stays locked; the timeline comes from the tracer's per-batch
+//! epoch series of a traced run, which must reproduce every counter.
+
+mod common;
 
 use cppe::presets::PolicyPreset;
-use gpu::GpuConfig;
+use gpu::{GpuConfig, RunResult};
 use harness::{capacity_pages, ExpConfig};
+use telemetry::{EpochSeries, TraceConfig};
 use workloads::registry;
 
 /// Fingerprint of everything a run observably computes.
@@ -48,16 +53,11 @@ struct Fp {
     timeline_hash: u64,
 }
 
-fn fnv(h: &mut u64, v: u64) {
-    *h ^= v;
-    *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-}
-
-fn fingerprint(abbr: &str, preset: PolicyPreset) -> Fp {
+fn run(abbr: &str, preset: PolicyPreset, trace: TraceConfig) -> RunResult {
     let cfg = ExpConfig {
         scale: 0.25,
         gpu: GpuConfig {
-            record_timeline: true,
+            trace,
             ..ExpConfig::default().gpu
         },
         ..ExpConfig::default()
@@ -69,15 +69,11 @@ fn fingerprint(abbr: &str, preset: PolicyPreset) -> Fp {
         .collect();
     let capacity = capacity_pages(&spec, 0.5, cfg.scale);
     let engine = preset.build(cfg.seed ^ spec.seed);
-    let r = gpu::simulate(&cfg.gpu, engine, &streams, capacity, spec.pages(cfg.scale));
-    let mut th: u64 = 0xCBF2_9CE4_8422_2325;
-    for p in &r.timeline {
-        fnv(&mut th, p.cycle);
-        fnv(&mut th, p.faults);
-        fnv(&mut th, p.pages_migrated);
-        fnv(&mut th, p.pages_evicted);
-        fnv(&mut th, p.resident_pages);
-    }
+    gpu::simulate(&cfg.gpu, engine, &streams, capacity, spec.pages(cfg.scale))
+}
+
+fn fingerprint_of(r: &RunResult, series: &EpochSeries) -> Fp {
+    let (timeline_len, timeline_hash) = common::timeline_hash(series);
     Fp {
         outcome: match r.outcome {
             gpu::Outcome::Completed => "Completed",
@@ -109,9 +105,25 @@ fn fingerprint(abbr: &str, preset: PolicyPreset) -> Fp {
         wrong_evictions: r.wrong_evictions,
         frames_free: r.frames_free,
         resident_pages: r.resident_pages,
-        timeline_len: r.timeline.len(),
-        timeline_hash: th,
+        timeline_len,
+        timeline_hash,
     }
+}
+
+/// Counters from an untraced run, timeline from a traced one; the traced
+/// run must agree on every counter.
+fn fingerprint(abbr: &str, preset: PolicyPreset) -> Fp {
+    let off = run(abbr, preset, TraceConfig::default());
+    let on = run(abbr, preset, TraceConfig::on());
+    let series = &on.telemetry.as_ref().expect("traced run").series;
+    let fp = fingerprint_of(&off, series);
+    assert_eq!(
+        fingerprint_of(&on, series),
+        fp,
+        "{abbr}/{}: tracing moved a counter",
+        preset.label()
+    );
+    fp
 }
 
 /// Golden fingerprints captured from the pre-overhaul implementation.
