@@ -64,7 +64,9 @@ pub enum PolicyPreset {
     LruNoPf,
     /// LRU + tree-neighbourhood prefetcher (extension/ablation).
     LruTree,
-    /// MHPE with a pinned forward distance (sensitivity, §IV-B).
+    /// MHPE with a pinned forward distance and switching left on
+    /// (`mhpe-fd{N}`). Not the §IV-B sweep's engine: that sweep also
+    /// disables switching and builds its engine itself.
     MhpeFixedFd(usize),
     /// MHPE with a custom T3 limit (sensitivity, §VI-A).
     MhpeT3(usize),

@@ -9,15 +9,12 @@
 //! oversubscription, all normalized to the baseline (LRU+naive).
 
 use crate::report::{fmt_speedup, Table};
-use crate::runner::{geomean, speedup, ExpConfig};
+use crate::runner::{geomean, speedup, CellInputs, ExpConfig};
 use crate::sweep::{cross, run_sweep};
 use cppe::evict::lru::LruPolicy;
-use cppe::evict::mhpe::MhpePolicy;
 use cppe::prefetch::pattern::PatternAwarePrefetcher;
-use cppe::prefetch::sequential::SequentialLocalPrefetcher;
 use cppe::presets::PolicyPreset;
 use cppe::PolicyEngine;
-use gpu::simulate;
 use workloads::registry;
 
 /// One representative app per pattern type.
@@ -29,14 +26,6 @@ fn lru_pattern_engine() -> PolicyEngine {
     PolicyEngine::new(
         Box::new(LruPolicy::new()),
         Box::new(PatternAwarePrefetcher::new()),
-    )
-}
-
-/// MHPE + naive — via preset; MHPE+pattern = CPPE — via preset.
-fn mhpe_naive_engine() -> PolicyEngine {
-    PolicyEngine::new(
-        Box::new(MhpePolicy::new()),
-        Box::new(SequentialLocalPrefetcher::naive()),
     )
 }
 
@@ -81,21 +70,7 @@ pub fn run(cfg: &ExpConfig, threads: usize) -> String {
         let srrip = &results[&(spec.abbr.to_string(), "srrip".into(), 50)];
 
         // LRU + pattern-aware is not a preset; run it directly.
-        let lanes = cfg.gpu.lanes();
-        let streams: Vec<_> = (0..lanes)
-            .map(|l| spec.lane_items(l, lanes, cfg.scale))
-            .collect();
-        let capacity = crate::runner::capacity_pages(spec, 0.5, cfg.scale);
-        let lru_pat = simulate(
-            &cfg.gpu,
-            lru_pattern_engine(),
-            &streams,
-            capacity,
-            spec.pages(cfg.scale),
-        );
-        // Sanity path for the second custom engine constructor (kept in
-        // sync with the preset used above).
-        debug_assert_eq!(mhpe_naive_engine().name(), "mhpe+seq-local");
+        let lru_pat = CellInputs::new(spec, 0.5, cfg).run(&cfg.gpu, lru_pattern_engine());
 
         let cells = [
             speedup(base, mhpe),

@@ -15,14 +15,12 @@
 
 use crate::oracle::OracleReport;
 use crate::report::{loss_section, save, Table};
-use crate::runner::{capacity_pages, ExpConfig};
+use crate::runner::{CellInputs, ExpConfig};
 use cppe::presets::PolicyPreset;
-use gmmu::types::PAGES_PER_CHUNK;
-use gpu::{simulate, RunResult};
+use gpu::RunResult;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use telemetry::{json, PageLedger};
-use workloads::registry;
 
 /// Pattern-diverse subset (regular / irregular / mixed), matching the
 /// profile and chaos suites so the baselines are comparable.
@@ -57,7 +55,6 @@ pub struct AuditedRun {
 /// Panics on an unknown app abbreviation.
 #[must_use]
 pub fn run_audited(cfg: &ExpConfig, abbr: &'static str) -> AuditedRun {
-    let spec = registry::by_abbr(abbr).expect("known app");
     let gpu = gpu::GpuConfig {
         trace: telemetry::TraceConfig {
             ring_capacity: AUDIT_RING,
@@ -67,23 +64,9 @@ pub fn run_audited(cfg: &ExpConfig, abbr: &'static str) -> AuditedRun {
         },
         ..cfg.gpu
     };
-    let lanes = gpu.lanes();
-    let streams: Vec<_> = (0..lanes)
-        .map(|l| spec.lane_items(l, lanes, cfg.scale))
-        .collect();
-    let capacity = capacity_pages(&spec, 0.5, cfg.scale);
-    let result = simulate(
-        &gpu,
-        PolicyPreset::Cppe.build(cfg.seed),
-        &streams,
-        capacity,
-        spec.pages(cfg.scale),
-    );
-    let t = result.telemetry.as_ref().expect("audit runs are traced");
-    let ledger = PageLedger::from_telemetry(t, PAGES_PER_CHUNK);
-    let accesses = crate::opt::linearize(&streams);
-    let capacity_chunks = (u64::from(capacity) / PAGES_PER_CHUNK) as usize;
-    let oracle = OracleReport::compare(t, &ledger, &accesses, capacity_chunks);
+    let cell = CellInputs::of(abbr, 0.5, cfg);
+    let result = cell.run_preset(&gpu, PolicyPreset::Cppe);
+    let (ledger, oracle) = crate::oracle::belady(&result, &cell);
     AuditedRun {
         app: abbr,
         result,
@@ -314,7 +297,6 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::registry;
 
     fn quick_cfg() -> ExpConfig {
         ExpConfig {
@@ -329,19 +311,7 @@ mod tests {
         // of an audited run locks to the plain run, bit for bit.
         let cfg = quick_cfg();
         let audited = run_audited(&cfg, "STN");
-        let spec = registry::by_abbr("STN").unwrap();
-        let lanes = cfg.gpu.lanes();
-        let streams: Vec<_> = (0..lanes)
-            .map(|l| spec.lane_items(l, lanes, cfg.scale))
-            .collect();
-        let capacity = capacity_pages(&spec, 0.5, cfg.scale);
-        let plain = gpu::simulate(
-            &cfg.gpu,
-            PolicyPreset::Cppe.build(cfg.seed),
-            &streams,
-            capacity,
-            spec.pages(cfg.scale),
-        );
+        let plain = CellInputs::of("STN", 0.5, &cfg).run_preset(&cfg.gpu, PolicyPreset::Cppe);
         assert!(plain.telemetry.is_none(), "reference run is untraced");
         let a = &audited.result;
         assert_eq!(a.outcome, plain.outcome);

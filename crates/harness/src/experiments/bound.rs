@@ -8,10 +8,8 @@
 
 use crate::opt::{linearize, opt_chunk_faults};
 use crate::report::Table;
-use crate::runner::{capacity_pages, run_cell, ExpConfig};
+use crate::runner::{CellInputs, ExpConfig};
 use cppe::presets::PolicyPreset;
-use gmmu::types::PAGES_PER_CHUNK;
-use workloads::registry;
 
 /// Apps shown (one per type, plus the severe thrashers).
 pub const APPS: [&str; 7] = ["2DC", "KMN", "NW", "SRD", "HSD", "HIS", "B+T"];
@@ -21,17 +19,11 @@ pub const APPS: [&str; 7] = ["2DC", "KMN", "NW", "SRD", "HSD", "HIS", "B+T"];
 pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
     let mut table = Table::new(&["app", "opt-faults", "baseline/opt", "cppe/opt"]);
     for abbr in APPS {
-        let spec = registry::by_abbr(abbr).expect("known app");
-        let lanes = cfg.gpu.lanes();
-        let streams: Vec<_> = (0..lanes)
-            .map(|l| spec.lane_items(l, lanes, cfg.scale))
-            .collect();
-        let capacity_chunks =
-            (capacity_pages(&spec, 0.5, cfg.scale) as u64 / PAGES_PER_CHUNK) as usize;
-        let opt = opt_chunk_faults(&linearize(&streams), capacity_chunks).max(1);
+        let cell = CellInputs::of(abbr, 0.5, cfg);
+        let opt = opt_chunk_faults(&linearize(&cell.streams), cell.capacity_chunks()).max(1);
 
-        let base = run_cell(&spec, PolicyPreset::Baseline, 0.5, cfg);
-        let cppe = run_cell(&spec, PolicyPreset::Cppe, 0.5, cfg);
+        let base = cell.run_preset(&cfg.gpu, PolicyPreset::Baseline);
+        let cppe = cell.run_preset(&cfg.gpu, PolicyPreset::Cppe);
         let ratio = |r: &gpu::RunResult| {
             if r.completed() {
                 format!("{:.2}", r.driver.faults_serviced as f64 / opt as f64)

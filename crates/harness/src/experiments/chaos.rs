@@ -9,12 +9,11 @@
 //! degraded mode by shedding prefetch aggressiveness.
 
 use crate::report::{save, Table};
-use crate::runner::{capacity_pages, ExpConfig};
+use crate::runner::{CellInputs, ExpConfig};
 use cppe::presets::PolicyPreset;
-use gpu::{simulate, GpuConfig, Outcome, RunResult};
+use gpu::{GpuConfig, Outcome};
 use sim_core::fault::InjectionConfig;
 use uvm::driver::ResilienceConfig;
-use workloads::registry;
 
 /// Pattern-diverse subset (regular / irregular / mixed).
 pub const APPS: [&str; 3] = ["2DC", "KMN", "SRD"];
@@ -36,30 +35,6 @@ pub fn scenarios(seed: u64) -> Vec<(&'static str, InjectionConfig)> {
         ("queue-32", InjectionConfig::batch_overflow(seed, 32)),
         ("combined", InjectionConfig::combined(seed)),
     ]
-}
-
-/// Run one cell under an injection scenario.
-#[must_use]
-pub fn run_injected(
-    abbr: &str,
-    preset: PolicyPreset,
-    cfg: &ExpConfig,
-    injection: InjectionConfig,
-    resilience: ResilienceConfig,
-) -> RunResult {
-    let spec = registry::by_abbr(abbr).expect("known app");
-    let gpu = GpuConfig {
-        injection,
-        resilience,
-        ..cfg.gpu
-    };
-    let lanes = gpu.lanes();
-    let streams: Vec<_> = (0..lanes)
-        .map(|l| spec.lane_items(l, lanes, cfg.scale))
-        .collect();
-    let capacity = capacity_pages(&spec, 0.5, cfg.scale);
-    let engine = preset.build(cfg.seed ^ spec.seed);
-    simulate(&gpu, engine, &streams, capacity, spec.pages(cfg.scale))
 }
 
 fn outcome_tag(o: Outcome) -> &'static str {
@@ -97,12 +72,19 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
     ]);
 
     for abbr in APPS {
+        let inputs = CellInputs::of(abbr, 0.5, cfg);
         for preset in PRESETS {
             let mut row = vec![abbr.to_string(), preset.label()];
             let mut clean_cycles = None;
             let mut combined = None;
             for (_, injection) in scenarios(cfg.seed) {
-                let r = run_injected(abbr, preset, cfg, injection, ResilienceConfig::default());
+                let r = inputs.run_preset(
+                    &GpuConfig {
+                        injection,
+                        ..cfg.gpu
+                    },
+                    preset,
+                );
                 let cell = if !r.survived() || r.cycles == 0 {
                     format!("X{}", outcome_tag(r.outcome))
                 } else if let Some(clean) = clean_cycles {
@@ -142,35 +124,21 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
     // the run finishes. The ladder runs audit decisions when traced
     // (audit is inert while tracing is off), so every shed-mode call
     // carries its rung and fallback-policy provenance.
-    let lcfg = {
-        let mut c = *cfg;
-        c.gpu.trace.audit = true;
-        c
+    let mvt = CellInputs::of("MVT", 0.5, cfg);
+    let run_mvt = |resilience| {
+        let mut gpu = GpuConfig {
+            resilience,
+            ..cfg.gpu
+        };
+        gpu.trace.audit = true;
+        mvt.run_preset(&gpu, PolicyPreset::Baseline)
     };
-    let plain = run_injected(
-        "MVT",
-        PolicyPreset::Baseline,
-        &lcfg,
-        InjectionConfig::disabled(),
-        ResilienceConfig::default(),
-    );
-    let laddered = run_injected(
-        "MVT",
-        PolicyPreset::Baseline,
-        &lcfg,
-        InjectionConfig::disabled(),
-        ResilienceConfig::degraded(),
-    );
+    let plain = run_mvt(ResilienceConfig::default());
+    let laddered = run_mvt(ResilienceConfig::degraded());
     // Recovery rung: same ladder, but after a quiet period with no
     // thrash-detector trips the driver re-arms the shed aggressiveness
     // one rung at a time.
-    let recovered = run_injected(
-        "MVT",
-        PolicyPreset::Baseline,
-        &lcfg,
-        InjectionConfig::disabled(),
-        ResilienceConfig::degraded_with_recovery(64),
-    );
+    let recovered = run_mvt(ResilienceConfig::degraded_with_recovery(64));
     let ladder = format!(
         "MVT @ 50% (baseline policy): plain driver → {:?}; degraded mode →\n\
          {:?} in {} cycles (throttle sheds: {}, policy fallbacks: {});\n\
@@ -218,20 +186,7 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
                     count.to_string(),
                 ]);
             }
-            let spec = registry::by_abbr("MVT").expect("known app");
-            let lanes = cfg.gpu.lanes();
-            let streams: Vec<_> = (0..lanes)
-                .map(|l| spec.lane_items(l, lanes, cfg.scale))
-                .collect();
-            let capacity = capacity_pages(&spec, 0.5, cfg.scale);
-            let ledger = telemetry::PageLedger::from_telemetry(t, gmmu::types::PAGES_PER_CHUNK);
-            let accesses = crate::opt::linearize(&streams);
-            let oracle = crate::oracle::OracleReport::compare(
-                t,
-                &ledger,
-                &accesses,
-                (u64::from(capacity) / gmmu::types::PAGES_PER_CHUNK) as usize,
-            );
+            let (_, oracle) = crate::oracle::belady(&recovered, &mvt);
             banner.push_str(&format!(
                 "\nDecision provenance across the ladder (recovered run),\n\
                  by policy and rung:\n\n{}\n\
@@ -286,34 +241,26 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
 mod tests {
     use super::*;
 
+    fn quick_cfg() -> ExpConfig {
+        ExpConfig {
+            scale: 0.25,
+            ..ExpConfig::quick()
+        }
+    }
+
     #[test]
     fn clean_run_matches_uninjected_simulate() {
         // A "clean" scenario cell must be bit-identical to a run that
         // never heard of the injection layer.
-        let cfg = ExpConfig {
-            scale: 0.25,
-            ..ExpConfig::quick()
+        let cfg = quick_cfg();
+        let stn = CellInputs::of("STN", 0.5, &cfg);
+        let clean = GpuConfig {
+            injection: InjectionConfig::disabled(),
+            resilience: ResilienceConfig::default(),
+            ..cfg.gpu
         };
-        let injected = run_injected(
-            "STN",
-            PolicyPreset::Baseline,
-            &cfg,
-            InjectionConfig::disabled(),
-            ResilienceConfig::default(),
-        );
-        let spec = registry::by_abbr("STN").unwrap();
-        let lanes = cfg.gpu.lanes();
-        let streams: Vec<_> = (0..lanes)
-            .map(|l| spec.lane_items(l, lanes, cfg.scale))
-            .collect();
-        let capacity = capacity_pages(&spec, 0.5, cfg.scale);
-        let plain = simulate(
-            &cfg.gpu,
-            PolicyPreset::Baseline.build(cfg.seed ^ spec.seed),
-            &streams,
-            capacity,
-            spec.pages(cfg.scale),
-        );
+        let injected = stn.run_preset(&clean, PolicyPreset::Baseline);
+        let plain = stn.run_preset(&cfg.gpu, PolicyPreset::Baseline);
         assert_eq!(injected.cycles, plain.cycles);
         assert_eq!(injected.engine.pages_migrated, plain.engine.pages_migrated);
     }
@@ -323,18 +270,13 @@ mod tests {
         // The degraded MVT run sheds rungs; with auditing on, the
         // decisions it records must carry those raised rungs so the
         // provenance-by-rung section has rows beyond rung 0.
-        let mut cfg = ExpConfig {
-            scale: 0.25,
-            ..ExpConfig::quick()
+        let cfg = quick_cfg();
+        let gpu = GpuConfig {
+            trace: telemetry::TraceConfig::audited(),
+            resilience: ResilienceConfig::degraded(),
+            ..cfg.gpu
         };
-        cfg.gpu.trace = telemetry::TraceConfig::audited();
-        let r = run_injected(
-            "MVT",
-            PolicyPreset::Baseline,
-            &cfg,
-            InjectionConfig::disabled(),
-            ResilienceConfig::degraded(),
-        );
+        let r = CellInputs::of("MVT", 0.5, &cfg).run_preset(&gpu, PolicyPreset::Baseline);
         let t = r.telemetry.as_ref().expect("traced");
         assert!(!t.decisions.is_empty());
         assert!(
@@ -345,23 +287,16 @@ mod tests {
 
     #[test]
     fn injection_slows_but_does_not_kill() {
-        let cfg = ExpConfig {
-            scale: 0.25,
-            ..ExpConfig::quick()
-        };
-        let clean = run_injected(
-            "STN",
+        let cfg = quick_cfg();
+        let stn = CellInputs::of("STN", 0.5, &cfg);
+        let clean = stn.run_preset(&cfg.gpu, PolicyPreset::Baseline);
+        let injection = InjectionConfig::combined(cfg.seed);
+        let hurt = stn.run_preset(
+            &GpuConfig {
+                injection,
+                ..cfg.gpu
+            },
             PolicyPreset::Baseline,
-            &cfg,
-            InjectionConfig::disabled(),
-            ResilienceConfig::default(),
-        );
-        let hurt = run_injected(
-            "STN",
-            PolicyPreset::Baseline,
-            &cfg,
-            InjectionConfig::combined(cfg.seed),
-            ResilienceConfig::default(),
         );
         assert!(clean.survived());
         assert!(hurt.survived(), "injection must not kill the run");

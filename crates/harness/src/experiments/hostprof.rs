@@ -31,14 +31,13 @@
 //! the measurement (same env contract as the sweep orchestrator).
 
 use crate::report::{save, Table};
-use crate::runner::{capacity_for, capacity_pages, ExpConfig};
+use crate::runner::{capacity_for, CellInputs, ExpConfig};
 use cppe::presets::PolicyPreset;
 use gmmu::types::{VirtPage, PAGES_PER_CHUNK};
-use gpu::simulate;
 use sim_core::hostprof::{HostProfile, KIND_COUNT, WORKER_POINTS};
 use std::fmt::Write as _;
 use telemetry::json;
-use workloads::{registry, AccessStep, LaneItem};
+use workloads::{AccessStep, LaneItem};
 
 /// Schema marker for external tooling.
 pub const SCHEMA: &str = "cppe-hostprof-v1";
@@ -178,41 +177,29 @@ pub fn measure(cfg: &ExpConfig) -> Vec<HostprofCell> {
 #[must_use]
 pub fn measure_at(cfg: &ExpConfig, scale: f64, rate: f64) -> Vec<HostprofCell> {
     let cfg = ExpConfig { scale, ..*cfg };
-    let lanes = cfg.gpu.lanes();
     let mut cells = Vec::new();
-    // (app, per-lane streams, capacity pages, footprint pages, seed)
-    type AppCell = (&'static str, Vec<Vec<LaneItem>>, u32, u64, u64);
-    let mut apps: Vec<AppCell> = Vec::new();
-    for abbr in APPS {
-        let spec = registry::by_abbr(abbr).expect("known app");
-        let streams: Vec<_> = (0..lanes)
-            .map(|l| spec.lane_items(l, lanes, cfg.scale))
-            .collect();
-        let capacity = capacity_pages(&spec, rate, cfg.scale);
-        apps.push((abbr, streams, capacity, spec.pages(cfg.scale), spec.seed));
-    }
-    let (srv_streams, srv_pages) = serving_streams(lanes, cfg.scale);
+    let mut apps: Vec<(&'static str, CellInputs)> = APPS
+        .iter()
+        .map(|&abbr| (abbr, CellInputs::of(abbr, rate, &cfg)))
+        .collect();
+    let (srv_streams, srv_pages) = serving_streams(cfg.gpu.lanes(), cfg.scale);
     apps.push((
         SERVING,
-        srv_streams,
-        capacity_for(srv_pages, rate),
-        srv_pages,
-        0x5E41_11CE,
+        CellInputs {
+            streams: srv_streams,
+            capacity_pages: capacity_for(srv_pages, rate),
+            footprint: srv_pages,
+            seed: cfg.seed ^ 0x5E41_11CE,
+        },
     ));
 
-    for (app, streams, capacity, pages, seed) in apps {
+    for (app, cell) in apps {
         let run = |profiled: bool| {
             let gpu = gpu::GpuConfig {
                 hostprof: profiled,
                 ..cfg.gpu
             };
-            simulate(
-                &gpu,
-                PolicyPreset::Cppe.build(cfg.seed ^ seed),
-                &streams,
-                capacity,
-                pages,
-            )
+            cell.run_preset(&gpu, PolicyPreset::Cppe)
         };
         let warm = run(false);
         // Interleave the off/on arms (off, on, off, on, …) so slow
@@ -863,7 +850,7 @@ mod tests {
             hostprof: true,
             ..cfg.gpu
         };
-        let r = simulate(
+        let r = gpu::simulate(
             &gpu,
             PolicyPreset::Cppe.build(1),
             &streams,

@@ -11,12 +11,11 @@
 //! retry path).
 
 use crate::report::{save, Table};
-use crate::runner::{capacity_pages, ExpConfig};
+use crate::runner::{CellInputs, ExpConfig};
 use cppe::presets::PolicyPreset;
-use gpu::{simulate, RunResult};
+use gpu::RunResult;
 use std::fmt::Write as _;
 use telemetry::{json, LatencyAttribution};
-use workloads::registry;
 
 /// Pattern-diverse subset (regular / irregular / mixed), matching the
 /// chaos suite so the two baselines are comparable.
@@ -48,7 +47,6 @@ pub struct ProfiledRun {
 /// profile losslessly) and fold its spans.
 #[must_use]
 pub fn run_profiled(cfg: &ExpConfig, abbr: &'static str) -> ProfiledRun {
-    let spec = registry::by_abbr(abbr).expect("known app");
     let gpu = gpu::GpuConfig {
         trace: telemetry::TraceConfig {
             span_capacity: 1 << 20,
@@ -56,19 +54,9 @@ pub fn run_profiled(cfg: &ExpConfig, abbr: &'static str) -> ProfiledRun {
         },
         ..cfg.gpu
     };
-    let lanes = gpu.lanes();
-    let streams: Vec<_> = (0..lanes)
-        .map(|l| spec.lane_items(l, lanes, cfg.scale))
-        .collect();
-    let capacity = capacity_pages(&spec, 0.5, cfg.scale);
+    let cell = CellInputs::of(abbr, 0.5, cfg);
     let t0 = std::time::Instant::now();
-    let result = simulate(
-        &gpu,
-        PolicyPreset::Cppe.build(cfg.seed),
-        &streams,
-        capacity,
-        spec.pages(cfg.scale),
-    );
+    let result = cell.run_preset(&gpu, PolicyPreset::Cppe);
     let wall = t0.elapsed();
     let t = result.telemetry.as_ref().expect("profile runs are traced");
     let attribution = LatencyAttribution::from_spans(&t.spans);

@@ -9,13 +9,11 @@
 //!   The paper selects T3 = 32.
 
 use crate::report::{fmt_speedup, Table};
-use crate::runner::{geomean, run_cell, speedup, ExpConfig};
+use crate::runner::{geomean, speedup, CellInputs, ExpConfig};
 use cppe::evict::mhpe::{MhpeConfig, MhpePolicy};
 use cppe::prefetch::pattern::PatternAwarePrefetcher;
 use cppe::presets::PolicyPreset;
 use cppe::PolicyEngine;
-use gpu::simulate;
-use workloads::registry;
 
 /// Apps used for the forward-distance sweep: two MRU-favouring regular
 /// apps and two high-untouch irregular apps.
@@ -39,15 +37,14 @@ pub struct FdCell {
 /// Forward-distance sweep: returns rows `(fd, per-app cells)`.
 #[must_use]
 pub fn fd_sweep(cfg: &ExpConfig) -> Vec<(usize, Vec<FdCell>)> {
+    let inputs: Vec<_> = FD_APPS
+        .iter()
+        .map(|app| CellInputs::of(app, 0.5, cfg))
+        .collect();
     let mut rows = Vec::new();
     for fd in 1..=10usize {
         let mut cells = Vec::new();
-        for app in FD_APPS {
-            let spec = registry::by_abbr(app).expect("known app");
-            let lanes = cfg.gpu.lanes();
-            let streams: Vec<_> = (0..lanes)
-                .map(|l| spec.lane_items(l, lanes, cfg.scale))
-                .collect();
+        for (app, cell) in FD_APPS.iter().zip(&inputs) {
             let engine = PolicyEngine::new(
                 Box::new(MhpePolicy::with_config(MhpeConfig {
                     fixed_fd: Some(fd),
@@ -56,8 +53,7 @@ pub fn fd_sweep(cfg: &ExpConfig) -> Vec<(usize, Vec<FdCell>)> {
                 })),
                 Box::new(PatternAwarePrefetcher::new()),
             );
-            let capacity = crate::runner::capacity_pages(&spec, 0.5, cfg.scale);
-            let r = simulate(&cfg.gpu, engine, &streams, capacity, spec.pages(cfg.scale));
+            let r = cell.run(&cfg.gpu, engine);
             let untouch = r.mhpe.as_ref().map_or(0.0, |t| {
                 if t.interval_untouch.is_empty() {
                     0.0
@@ -80,17 +76,23 @@ pub fn fd_sweep(cfg: &ExpConfig) -> Vec<(usize, Vec<FdCell>)> {
 }
 
 /// T3 sweep: `(t3, geomean speedup over baseline across T3_APPS)`.
+/// Each app's baseline runs once and serves every T3 value.
 #[must_use]
 pub fn t3_sweep(cfg: &ExpConfig) -> Vec<(usize, Option<f64>)> {
+    let apps: Vec<_> = T3_APPS
+        .iter()
+        .map(|app| {
+            let cell = CellInputs::of(app, 0.5, cfg);
+            let base = cell.run_preset(&cfg.gpu, PolicyPreset::Baseline);
+            (cell, base)
+        })
+        .collect();
     let mut rows = Vec::new();
     for t3 in (16..=40).step_by(4) {
-        let mut speeds = Vec::new();
-        for app in T3_APPS {
-            let spec = registry::by_abbr(app).expect("known app");
-            let base = run_cell(&spec, PolicyPreset::Baseline, 0.5, cfg);
-            let t3run = run_cell(&spec, PolicyPreset::MhpeT3(t3), 0.5, cfg);
-            speeds.push(speedup(&base, &t3run));
-        }
+        let speeds: Vec<_> = apps
+            .iter()
+            .map(|(cell, base)| speedup(base, &cell.run_preset(&cfg.gpu, PolicyPreset::MhpeT3(t3))))
+            .collect();
         rows.push((t3, geomean(&speeds)));
     }
     rows

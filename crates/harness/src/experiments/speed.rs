@@ -14,11 +14,9 @@
 //! only the wall clock varies.
 
 use crate::report::{save, Table};
-use crate::runner::{capacity_pages, ExpConfig};
+use crate::runner::{CellInputs, ExpConfig};
 use cppe::presets::PolicyPreset;
-use gpu::simulate;
 use std::fmt::Write as _;
-use workloads::registry;
 
 /// Schema marker for external tooling.
 pub const SCHEMA: &str = "cppe-speed-v1";
@@ -78,23 +76,9 @@ pub fn measure(cfg: &ExpConfig) -> Vec<SpeedCell> {
     };
     let mut cells = Vec::new();
     for abbr in APPS {
-        let spec = registry::by_abbr(abbr).expect("known app");
-        let lanes = cfg.gpu.lanes();
-        let streams: Vec<_> = (0..lanes)
-            .map(|l| spec.lane_items(l, lanes, cfg.scale))
-            .collect();
-        let capacity = capacity_pages(&spec, RATE, cfg.scale);
-        let pages = spec.pages(cfg.scale);
+        let cell = CellInputs::of(abbr, RATE, &cfg);
         for preset in PRESETS {
-            let run = || {
-                simulate(
-                    &cfg.gpu,
-                    preset.build(cfg.seed ^ spec.seed),
-                    &streams,
-                    capacity,
-                    pages,
-                )
-            };
+            let run = || cell.run_preset(&cfg.gpu, preset);
             let warm = run();
             let mut times: Vec<f64> = (0..REPS)
                 .map(|_| {

@@ -7,10 +7,9 @@
 //! only held for one lucky seed it would show here.
 
 use crate::report::Table;
-use crate::runner::{capacity_pages, speedup, ExpConfig};
+use crate::runner::{speedup, CellInputs, ExpConfig};
 use cppe::presets::PolicyPreset;
-use gpu::{simulate, GpuConfig};
-use workloads::registry;
+use gpu::GpuConfig;
 
 /// Headline subset: one app per pattern type.
 pub const APPS: [&str; 6] = ["2DC", "KMN", "NW", "SRD", "HIS", "B+T"];
@@ -23,33 +22,15 @@ pub const SEEDS: [u64; 5] = [1, 2, 3, 5, 8];
 pub fn collect(cfg: &ExpConfig) -> Vec<(String, Vec<Option<f64>>)> {
     let mut rows = Vec::new();
     for abbr in APPS {
-        let spec = registry::by_abbr(abbr).expect("known app");
+        let cell = CellInputs::of(abbr, 0.5, cfg);
         let mut speeds = Vec::new();
         for &seed in &SEEDS {
             let gpu = GpuConfig {
                 jitter_seed: seed,
                 ..cfg.gpu
             };
-            let lanes = gpu.lanes();
-            let streams: Vec<_> = (0..lanes)
-                .map(|l| spec.lane_items(l, lanes, cfg.scale))
-                .collect();
-            let capacity = capacity_pages(&spec, 0.5, cfg.scale);
-            let pages = spec.pages(cfg.scale);
-            let base = simulate(
-                &gpu,
-                PolicyPreset::Baseline.build(cfg.seed),
-                &streams,
-                capacity,
-                pages,
-            );
-            let cppe = simulate(
-                &gpu,
-                PolicyPreset::Cppe.build(cfg.seed),
-                &streams,
-                capacity,
-                pages,
-            );
+            let base = cell.run_preset(&gpu, PolicyPreset::Baseline);
+            let cppe = cell.run_preset(&gpu, PolicyPreset::Cppe);
             speeds.push(speedup(&base, &cppe));
         }
         rows.push((abbr.to_string(), speeds));

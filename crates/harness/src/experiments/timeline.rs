@@ -10,23 +10,19 @@
 //! summary / Chrome trace when `--trace-format` asks).
 
 use crate::report::{loss_section, save, Table};
-use crate::runner::{capacity_pages, ExpConfig};
+use crate::runner::{CellInputs, ExpConfig};
 use cppe::presets::PolicyPreset;
-use gmmu::types::PAGES_PER_CHUNK;
-use gpu::{simulate, RunResult};
+use gpu::RunResult;
 use std::fmt::Write as _;
 use telemetry::export;
-use workloads::registry;
 
 /// Default workload for the timeline (a Type IV thrasher).
 pub const DEFAULT_APP: &str = "HSD";
 
-/// Run one telemetry-instrumented cell (tracer forced on, with
-/// decision auditing so the provenance/regret section has a stream to
-/// replay).
+/// Run `cell` with the telemetry tracer forced on (with decision
+/// auditing so the provenance/regret section has a stream to replay).
 #[must_use]
-pub fn run_instrumented(cfg: &ExpConfig, abbr: &str, preset: PolicyPreset) -> RunResult {
-    let spec = registry::by_abbr(abbr).expect("known app");
+pub fn run_instrumented(cfg: &ExpConfig, cell: &CellInputs, preset: PolicyPreset) -> RunResult {
     let gpu = gpu::GpuConfig {
         // Audited tracer, carrying over the caller's monitor knobs so
         // `--monitor` yields a snapshot time-series alongside the
@@ -40,18 +36,7 @@ pub fn run_instrumented(cfg: &ExpConfig, abbr: &str, preset: PolicyPreset) -> Ru
         },
         ..cfg.gpu
     };
-    let lanes = gpu.lanes();
-    let streams: Vec<_> = (0..lanes)
-        .map(|l| spec.lane_items(l, lanes, cfg.scale))
-        .collect();
-    let capacity = capacity_pages(&spec, 0.5, cfg.scale);
-    simulate(
-        &gpu,
-        preset.build(cfg.seed),
-        &streams,
-        capacity,
-        spec.pages(cfg.scale),
-    )
+    cell.run_preset(&gpu, preset)
 }
 
 /// Wide per-epoch CSV of a traced run (every registered metric: the
@@ -74,8 +59,9 @@ fn outcome_str(r: &RunResult) -> String {
 #[must_use]
 pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
     let app = DEFAULT_APP;
-    let base = run_instrumented(cfg, app, PolicyPreset::Baseline);
-    let cppe = run_instrumented(cfg, app, PolicyPreset::Cppe);
+    let cell = CellInputs::of(app, 0.5, cfg);
+    let base = run_instrumented(cfg, &cell, PolicyPreset::Baseline);
+    let cppe = run_instrumented(cfg, &cell, PolicyPreset::Cppe);
 
     for (label, r) in [("baseline", &base), ("cppe", &cppe)] {
         if cfg.trace_format.wants_csv() {
@@ -158,20 +144,7 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
             ]);
         }
         audit_sec.push_str(&prov.render());
-        let spec = registry::by_abbr(app).expect("known app");
-        let lanes = cfg.gpu.lanes();
-        let streams: Vec<_> = (0..lanes)
-            .map(|l| spec.lane_items(l, lanes, cfg.scale))
-            .collect();
-        let capacity = capacity_pages(&spec, 0.5, cfg.scale);
-        let ledger = telemetry::PageLedger::from_telemetry(t, PAGES_PER_CHUNK);
-        let accesses = crate::opt::linearize(&streams);
-        let oracle = crate::oracle::OracleReport::compare(
-            t,
-            &ledger,
-            &accesses,
-            (u64::from(capacity) / PAGES_PER_CHUNK) as usize,
-        );
+        let (_, oracle) = crate::oracle::belady(&cppe, &cell);
         let _ = write!(
             audit_sec,
             "\nOracle regret (cppe): {} of {} chunk migrations avoidable;\n\
@@ -215,7 +188,11 @@ mod tests {
     #[test]
     fn timeline_csv_has_one_row_per_batch() {
         let cfg = ExpConfig::quick();
-        let r = run_instrumented(&cfg, "STN", PolicyPreset::Baseline);
+        let r = run_instrumented(
+            &cfg,
+            &CellInputs::of("STN", 0.5, &cfg),
+            PolicyPreset::Baseline,
+        );
         let csv = to_csv(&r);
         assert_eq!(csv.lines().count() as u64, 1 + r.driver.batches);
         assert!(csv.starts_with("epoch,cycle,cppe.faults"));
@@ -241,7 +218,7 @@ mod tests {
     fn monitor_flag_yields_valid_snapshot_series() {
         let mut cfg = ExpConfig::quick();
         cfg.gpu.trace.monitor = true;
-        let r = run_instrumented(&cfg, "STN", PolicyPreset::Cppe);
+        let r = run_instrumented(&cfg, &CellInputs::of("STN", 0.5, &cfg), PolicyPreset::Cppe);
         let t = r.telemetry.as_ref().expect("traced");
         assert!(t.monitor.sampled > 0, "sampler must fire at least once");
         let doc = telemetry::monitor::monitor_json(&t.monitor);
@@ -251,7 +228,7 @@ mod tests {
     #[test]
     fn instrumented_runs_record_decisions() {
         let cfg = ExpConfig::quick();
-        let r = run_instrumented(&cfg, "STN", PolicyPreset::Cppe);
+        let r = run_instrumented(&cfg, &CellInputs::of("STN", 0.5, &cfg), PolicyPreset::Cppe);
         let t = r.telemetry.as_ref().expect("traced");
         assert!(!t.decisions.is_empty(), "auditing is on for timelines");
     }

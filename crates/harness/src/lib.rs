@@ -25,5 +25,7 @@ pub mod report;
 pub mod runner;
 pub mod sweep;
 
-pub use runner::{capacity_for, capacity_pages, geomean, run_cell, speedup, ExpConfig, RATES};
+pub use runner::{
+    capacity_for, capacity_pages, geomean, run_cell, speedup, CellInputs, ExpConfig, RATES,
+};
 pub use sweep::{cross, run_sweep, Job};

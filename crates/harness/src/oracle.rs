@@ -22,10 +22,26 @@
 //! Everything here is offline replay over recorded telemetry — the
 //! simulation hot path never sees it.
 
-use gmmu::types::PAGE_SIZE;
+use crate::runner::CellInputs;
+use gmmu::types::{PAGES_PER_CHUNK, PAGE_SIZE};
+use gpu::RunResult;
 use sim_core::FxHashMap;
 use telemetry::{DecisionKind, PageLedger, RunTelemetry, TraceEvent};
 use workloads::AccessStep;
+
+/// Replay a traced run of `cell` into its page ledger and score it
+/// against Belady over the cell's linearized streams and capacity.
+///
+/// # Panics
+/// Panics when `run` was not traced.
+#[must_use]
+pub(crate) fn belady(run: &RunResult, cell: &CellInputs) -> (PageLedger, OracleReport) {
+    let t = run.telemetry.as_ref().expect("oracle runs are traced");
+    let ledger = PageLedger::from_telemetry(t, PAGES_PER_CHUNK);
+    let accesses = crate::opt::linearize(&cell.streams);
+    let oracle = OracleReport::compare(t, &ledger, &accesses, cell.capacity_chunks());
+    (ledger, oracle)
+}
 
 /// Where every migrated page ended up: the usefulness partition of the
 /// run's prefetch traffic.

@@ -6,12 +6,19 @@
 //! 50%, so that 75% and 50% of each application's footprint fits in the
 //! GPU memory." Capacity here is exactly `rate × footprint`, rounded to
 //! whole chunks.
+//!
+//! [`CellInputs`] is the one place that builds a cell: the lane streams,
+//! the capacity, the footprint and the engine seed. [`run_cell`] builds
+//! them and runs the preset's engine; callers that reuse the streams
+//! across runs, replay them for the Belady oracle or bring their own
+//! engine hold a [`CellInputs`] instead.
 
 use cppe::presets::PolicyPreset;
+use cppe::PolicyEngine;
 use gmmu::types::PAGES_PER_CHUNK;
 use gpu::{simulate, GpuConfig, RunResult};
 use telemetry::TraceFormat;
-use workloads::WorkloadSpec;
+use workloads::{LaneItem, WorkloadSpec};
 
 /// The two oversubscription rates of the evaluation.
 pub const RATES: [f64; 2] = [0.75, 0.50];
@@ -83,6 +90,72 @@ pub fn capacity_for(pages: u64, rate: f64) -> u32 {
     u32::try_from(chunks * PAGES_PER_CHUNK).unwrap_or(u32::MAX)
 }
 
+/// The built inputs of one cell: everything but the GPU model and the
+/// policy engine, which [`CellInputs::run`] takes per run.
+#[derive(Debug, Clone)]
+pub struct CellInputs {
+    /// The workload's access streams, one per modelled lane.
+    pub streams: Vec<Vec<LaneItem>>,
+    /// GPU memory capacity at the cell's rate ([`capacity_pages`]).
+    pub capacity_pages: u32,
+    /// The workload's footprint in pages.
+    pub footprint: u64,
+    /// Seed handed to stochastic policies (Random eviction).
+    pub seed: u64,
+}
+
+impl CellInputs {
+    /// Build `spec` at `rate` under `cfg`: the streams split over
+    /// `cfg.gpu.lanes()`, capacity `rate × footprint` and the engine
+    /// seed `cfg.seed ^ spec.seed`.
+    #[must_use]
+    pub fn new(spec: &WorkloadSpec, rate: f64, cfg: &ExpConfig) -> Self {
+        let lanes = cfg.gpu.lanes();
+        CellInputs {
+            streams: (0..lanes)
+                .map(|l| spec.lane_items(l, lanes, cfg.scale))
+                .collect(),
+            capacity_pages: capacity_pages(spec, rate, cfg.scale),
+            footprint: spec.pages(cfg.scale),
+            seed: cfg.seed ^ spec.seed,
+        }
+    }
+
+    /// [`CellInputs::new`] for the registry workload `abbr`.
+    ///
+    /// # Panics
+    /// Panics on an unknown workload abbreviation.
+    #[must_use]
+    pub fn of(abbr: &str, rate: f64, cfg: &ExpConfig) -> Self {
+        let spec = workloads::registry::by_abbr(abbr).expect("known app");
+        Self::new(&spec, rate, cfg)
+    }
+
+    /// Capacity in whole chunks (the Belady bound's unit).
+    #[must_use]
+    pub(crate) fn capacity_chunks(&self) -> usize {
+        (u64::from(self.capacity_pages) / PAGES_PER_CHUNK) as usize
+    }
+
+    /// Simulate these inputs on `gpu` with a caller-built `engine`.
+    #[must_use]
+    pub fn run(&self, gpu: &GpuConfig, engine: PolicyEngine) -> RunResult {
+        simulate(
+            gpu,
+            engine,
+            &self.streams,
+            self.capacity_pages,
+            self.footprint,
+        )
+    }
+
+    /// Simulate these inputs on `gpu` under `preset`'s engine.
+    #[must_use]
+    pub fn run_preset(&self, gpu: &GpuConfig, preset: PolicyPreset) -> RunResult {
+        self.run(gpu, preset.build(self.seed))
+    }
+}
+
 /// Run one cell of the evaluation matrix.
 #[must_use]
 pub fn run_cell(
@@ -91,13 +164,7 @@ pub fn run_cell(
     rate: f64,
     cfg: &ExpConfig,
 ) -> RunResult {
-    let lanes = cfg.gpu.lanes();
-    let streams: Vec<_> = (0..lanes)
-        .map(|l| spec.lane_items(l, lanes, cfg.scale))
-        .collect();
-    let capacity = capacity_pages(spec, rate, cfg.scale);
-    let engine = preset.build(cfg.seed ^ spec.seed);
-    simulate(&cfg.gpu, engine, &streams, capacity, spec.pages(cfg.scale))
+    CellInputs::new(spec, rate, cfg).run_preset(&cfg.gpu, preset)
 }
 
 /// Speedup of `policy` over `base` (cycles ratio). `None` when either

@@ -11,12 +11,11 @@
 //! thrash-crashing run and re-checks bit-identical determinism.
 
 use cppe::presets::PolicyPreset;
-use gpu::{simulate, GpuConfig, Outcome, RunResult};
-use harness::runner::capacity_pages;
+use gpu::{GpuConfig, Outcome, RunResult};
+use harness::{CellInputs, ExpConfig};
 use sim_core::fault::InjectionConfig;
 use telemetry::TraceConfig;
 use uvm::driver::ResilienceConfig;
-use workloads::registry;
 
 const SCALE: f64 = 0.25;
 
@@ -36,28 +35,13 @@ fn scenarios(seed: u64) -> Vec<(&'static str, InjectionConfig)> {
     ]
 }
 
-fn run_with(
-    abbr: &str,
-    preset: PolicyPreset,
-    injection: InjectionConfig,
-    resilience: ResilienceConfig,
-    trace: TraceConfig,
-) -> RunResult {
-    let spec = registry::by_abbr(abbr).expect("known app");
-    let gpu = GpuConfig {
-        warps_per_sm: 1,
-        trace,
-        injection,
-        resilience,
-        ..GpuConfig::default()
+/// `abbr` at 50 % oversubscription and [`SCALE`], default seed and GPU.
+fn cell(abbr: &str) -> CellInputs {
+    let cfg = ExpConfig {
+        scale: SCALE,
+        ..ExpConfig::default()
     };
-    let lanes = gpu.lanes();
-    let streams: Vec<_> = (0..lanes)
-        .map(|l| spec.lane_items(l, lanes, SCALE))
-        .collect();
-    let capacity = capacity_pages(&spec, 0.5, SCALE);
-    let engine = preset.build(0xC0FFEE ^ spec.seed);
-    simulate(&gpu, engine, &streams, capacity, spec.pages(SCALE))
+    CellInputs::of(abbr, 0.5, &cfg)
 }
 
 /// One chaos cell, run untraced so the other invariants hold on the
@@ -69,8 +53,15 @@ fn run_one(
     injection: InjectionConfig,
     resilience: ResilienceConfig,
 ) -> RunResult {
-    let r = run_with(abbr, preset, injection, resilience, TraceConfig::default());
-    let twin = run_with(abbr, preset, injection, resilience, TraceConfig::on());
+    let cell = cell(abbr);
+    let gpu = GpuConfig {
+        injection,
+        resilience,
+        ..ExpConfig::default().gpu
+    };
+    let r = cell.run_preset(&gpu, preset);
+    let trace = TraceConfig::on();
+    let twin = cell.run_preset(&GpuConfig { trace, ..gpu }, preset);
     let label = format!("{abbr}/{}", preset.label());
     assert_eq!(
         (
@@ -276,25 +267,9 @@ fn disabled_injection_is_bit_identical_to_seed_path() {
     // The whole robustness layer must vanish when switched off: a run
     // through the injection-aware driver with everything disabled
     // matches a default-config run exactly.
-    let spec = registry::by_abbr("B+T").expect("known app");
-    let base_gpu = GpuConfig {
-        warps_per_sm: 1,
-        ..GpuConfig::default()
-    };
-    let lanes = base_gpu.lanes();
-    let streams: Vec<_> = (0..lanes)
-        .map(|l| spec.lane_items(l, lanes, SCALE))
-        .collect();
-    let capacity = capacity_pages(&spec, 0.5, SCALE);
-    let run = |gpu: &GpuConfig| {
-        simulate(
-            gpu,
-            PolicyPreset::Cppe.build(1),
-            &streams,
-            capacity,
-            spec.pages(SCALE),
-        )
-    };
+    let cell = cell("B+T");
+    let base_gpu = ExpConfig::default().gpu;
+    let run = |gpu: &GpuConfig| cell.run_preset(gpu, PolicyPreset::Cppe);
     let default_cfg = run(&base_gpu);
     let explicit_off = run(&GpuConfig {
         injection: InjectionConfig {

@@ -1,10 +1,12 @@
-//! Docs name only commands that exist.
+//! Docs name only commands and Rust paths that exist.
 //!
 //! Every `cppe <subcommand>` invocation in the user-facing docs and the
 //! CI workflows — written `--bin cppe -- <subcommand>` or as inline code
 //! `` `cppe <subcommand> …` `` — must name an entry of the dispatch
 //! table [`harness::cli::COMMANDS`], and `--bin` may only ever name the
-//! one `cppe` binary.
+//! one `cppe` binary. Every Rust path in README, DESIGN and EXPERIMENTS
+//! that starts with a workspace crate must resolve, segment by segment,
+//! to a module file, a `pub` item or a `pub use` re-export.
 
 use std::path::{Path, PathBuf};
 
@@ -100,4 +102,123 @@ fn the_scan_rejects_what_it_should() {
     assert_eq!(bad, ["x.md: `cppe probe`", "x.md: --bin cppe -- cppe-sim"]);
     let (bad, seen) = problems(f, "(`cppe ablation`, 50 %) and (`cppe probe`, 50 %)");
     assert_eq!((bad, seen), (vec!["x.md: `cppe probe`,".to_string()], 2));
+}
+
+/// Workspace crates; `sim_core` lives in `crates/sim-core`.
+const CRATES: &str = "sim_core telemetry gmmu cppe uvm gpu workloads harness";
+
+fn crate_root(name: &str) -> Option<PathBuf> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    CRATES
+        .split(' ')
+        .any(|c| c == name)
+        .then(|| dir.join(name.replace('_', "-")).join("src/lib.rs"))
+}
+
+/// Whether a line of `text` (a `pub` line, if `public`) holds the
+/// words `<kind> <name>` for one of `kinds`.
+fn declares(text: &str, kinds: &[&str], name: &str, public: bool) -> bool {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    text.lines()
+        .filter(|l| !public || l.trim_start().starts_with("pub"))
+        .any(|l| {
+            let w: Vec<&str> = l.split(|c| !ident(c)).filter(|w| !w.is_empty()).collect();
+            w.windows(2).any(|p| kinds.contains(&p[0]) && p[1] == name)
+        })
+}
+
+/// Resolve `segs` inside the module file `file`: a child module file, a
+/// `pub` item (whose members must be defined in the same file), or a
+/// `pub use` re-export, which is followed.
+fn resolve(file: &Path, segs: &[&str]) -> bool {
+    let Some((&seg, rest)) = segs.split_first() else {
+        return true;
+    };
+    let text = std::fs::read_to_string(file).unwrap_or_default();
+    let dir = match file.file_name().and_then(|n| n.to_str()) {
+        Some("lib.rs" | "mod.rs") => file.parent().unwrap().to_path_buf(),
+        _ => file.with_extension(""),
+    };
+    for sub in [dir.join(format!("{seg}.rs")), dir.join(seg).join("mod.rs")] {
+        if sub.exists() && declares(&text, &["mod"], seg, false) {
+            return resolve(&sub, rest);
+        }
+    }
+    let items = [
+        "fn", "struct", "enum", "trait", "type", "const", "static", "mod",
+    ];
+    if declares(&text, &items, seg, true) {
+        // A method or constant, or an enum variant `Name(..)` / `Name,`.
+        let variant =
+            |l: &str, m: &str| l.strip_prefix(m).is_some_and(|r| r.starts_with(['(', ',']));
+        return rest.iter().all(|m| {
+            declares(&text, &["fn", "const"], m, false)
+                || text.lines().any(|l| variant(l.trim_start(), m))
+        });
+    }
+    for stmt in text.split("pub use ").skip(1) {
+        let stmt = &stmt[..stmt.find(';').unwrap_or(stmt.len())];
+        let (prefix, names) = match stmt.split_once("::{") {
+            Some((p, names)) => (p, names.trim_end_matches('}')),
+            None => stmt.rsplit_once("::").unwrap_or(("", stmt)),
+        };
+        for name in names.split(',') {
+            let (orig, alias) = name.split_once(" as ").unwrap_or((name, name));
+            if alias.trim() == seg {
+                let mut path: Vec<&str> = prefix.split("::").map(str::trim).collect();
+                path.push(orig.trim());
+                path.extend(rest);
+                return match crate_root(path[0]) {
+                    Some(other) => resolve(&other, &path[1..]),
+                    None => resolve(file, &path),
+                };
+            }
+        }
+    }
+    false
+}
+
+/// The workspace-crate paths in `text` that do not resolve, and how
+/// many paths were checked.
+fn bad_paths(text: &str) -> (Vec<String>, usize) {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == ':';
+    let mut checked = Vec::new();
+    for krate in CRATES.split(' ') {
+        for (i, _) in text.match_indices(&format!("{krate}::")) {
+            if !text[..i].ends_with(ident) {
+                let tail = &text[i..];
+                checked.push(&tail[..tail.find(|c| !ident(c)).unwrap_or(tail.len())]);
+            }
+        }
+    }
+    let bad = checked.iter().filter(|p| {
+        let segs: Vec<&str> = p.split("::").filter(|s| !s.is_empty()).collect();
+        !resolve(&crate_root(segs[0]).unwrap(), &segs[1..])
+    });
+    (bad.map(|p| p.to_string()).collect(), checked.len())
+}
+
+#[test]
+fn documented_rust_paths_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let (mut bad, mut seen) = (Vec::new(), 0);
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        let (b, n) = bad_paths(&std::fs::read_to_string(root.join(doc)).expect("doc"));
+        bad.extend(b.into_iter().map(|p| format!("{doc}: {p}")));
+        seen += n;
+    }
+    assert!(bad.is_empty(), "docs name missing paths: {bad:?}");
+    assert!(seen >= 30, "only {seen} paths found: is the scan broken?");
+}
+
+#[test]
+fn the_path_scan_rejects_what_it_should() {
+    let good = "`cppe::evict::mhpe`, `cppe::PolicyEngine::new`, `workloads::LaneItem::Barrier`, \
+                `telemetry::PageLedger::from_telemetry`, `harness::{run_cell, CellInputs}`";
+    assert_eq!(bad_paths(good), (vec![], 5));
+    let bad = "`cppe::mhpe`, `cppe::prefetch::TreeNeighborhood`, not_gpu::x, \
+               `cppe::PolicyEngine::no_such_fn`, `harness::runner::private_fn`";
+    let (bad, seen) = bad_paths(bad);
+    assert_eq!(seen, 4);
+    assert_eq!(bad.len(), 4, "{bad:?}");
 }

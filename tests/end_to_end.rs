@@ -2,26 +2,17 @@
 //! workloads → gpu simulator → uvm driver → cppe policies.
 
 use cppe::presets::PolicyPreset;
-use gpu::{simulate, GpuConfig, Outcome};
+use gpu::{simulate, Outcome};
+use harness::{run_cell, ExpConfig};
 use workloads::registry;
-
-fn small_gpu() -> GpuConfig {
-    GpuConfig {
-        warps_per_sm: 1,
-        ..GpuConfig::default()
-    }
-}
 
 fn run(abbr: &str, preset: PolicyPreset, rate: f64, scale: f64) -> gpu::RunResult {
     let spec = registry::by_abbr(abbr).expect("known workload");
-    let gpu = small_gpu();
-    let lanes = gpu.lanes();
-    let streams: Vec<_> = (0..lanes)
-        .map(|l| spec.lane_items(l, lanes, scale))
-        .collect();
-    let pages = spec.pages(scale);
-    let capacity = ((pages as f64 * rate) as u64 / 16 * 16).max(32) as u32;
-    simulate(&gpu, preset.build(7), &streams, capacity, pages)
+    let cfg = ExpConfig {
+        scale,
+        ..ExpConfig::default()
+    };
+    run_cell(&spec, preset, rate, &cfg)
 }
 
 #[test]
@@ -123,7 +114,7 @@ fn translation_hierarchy_is_exercised() {
     // revisits a small set of pages, the way a kernel revisits the
     // cachelines of a page.
     use workloads::{AccessStep, LaneItem};
-    let gpu = small_gpu();
+    let gpu = ExpConfig::default().gpu;
     let stream: Vec<LaneItem> = (0..400u64)
         .map(|i| {
             LaneItem::Access(AccessStep {

@@ -24,9 +24,8 @@ use common::fnv;
 use cppe::presets::PolicyPreset;
 use gmmu::types::VirtPage;
 use gpu::{GpuConfig, RunResult};
-use harness::{capacity_pages, ExpConfig};
+use harness::{CellInputs, ExpConfig};
 use telemetry::TraceConfig;
-use workloads::registry;
 use workloads::types::{AccessStep, LaneItem};
 
 fn fnv_str(h: &mut u64, s: &str) {
@@ -133,22 +132,12 @@ fn assert_paths_agree(
 
 /// Run one paper cell with the fast lane toggled.
 fn paper_cell(abbr: &str, preset: PolicyPreset, scale: f64, mutate: &dyn Fn(&mut GpuConfig)) {
-    let spec = registry::by_abbr(abbr).expect("known app");
-    let capacity = capacity_pages(&spec, 0.5, scale);
-    let seed = ExpConfig::default().seed ^ spec.seed;
-    let sim = |cfg: &GpuConfig| {
-        let lanes = cfg.lanes();
-        let streams: Vec<_> = (0..lanes)
-            .map(|l| spec.lane_items(l, lanes, scale))
-            .collect();
-        gpu::simulate(
-            cfg,
-            preset.build(seed),
-            &streams,
-            capacity,
-            spec.pages(scale),
-        )
+    let cfg = ExpConfig {
+        scale,
+        ..ExpConfig::default()
     };
+    let cell = CellInputs::of(abbr, 0.5, &cfg);
+    let sim = |cfg: &GpuConfig| cell.run_preset(cfg, preset);
     assert_paths_agree(mutate, &sim, &format!("{abbr}/{}", preset.label()));
 }
 

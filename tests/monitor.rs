@@ -1,22 +1,20 @@
 //! Live-ops plane integration tests.
 //!
-//! The observability machinery must observe without perturbing: with
-//! the monitor sampler on at its default cadence, every simulated
-//! quantity stays bit-identical to the `tests/perf_identity.rs` golden
-//! fingerprints. The other direction — the machinery actually records
-//! something useful — is covered end to end: a panicking sweep cell
+//! The observability machinery must observe without perturbing:
+//! `tests/perf_identity.rs` holds the golden fingerprints with the
+//! monitor sampler on. This suite checks that the machinery records
+//! something useful, end to end: a panicking sweep cell
 //! leaves a parseable flight-recorder dossier, a simulated-kill
 //! orchestrator run dumps its queue state, the status server answers
 //! `/metrics`, `/status` and `/healthz` over real HTTP, and the bench
 //! history renders a trend dashboard from two appended entries.
 
 use cppe::presets::PolicyPreset;
-use gpu::GpuConfig;
 use harness::orchestrator::{
     orchestrate_with, CellSpec, LeaseStatus, OpsPlane, OrchestratorConfig, QueueStatus,
 };
 use harness::runner::ExpConfig;
-use harness::{capacity_pages, cross, history};
+use harness::{cross, history};
 use workloads::registry;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -24,65 +22,6 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-/// Monitored runs must be bit-identical to the untraced golden
-/// fingerprints: the sampler reads the registry, never the simulation.
-#[test]
-fn monitored_runs_match_golden_fingerprints() {
-    // (app, preset, cycles, faults, pages_migrated, pages_evicted,
-    // batches, bytes_h2d, bytes_d2h, wrong_evictions) from
-    // tests/perf_identity.rs.
-    let golden: [(&str, PolicyPreset, [u64; 8]); 2] = [
-        (
-            "STN",
-            PolicyPreset::Baseline,
-            [1_644_517, 116, 1856, 1728, 31, 7_602_176, 7_077_888, 0],
-        ),
-        (
-            "STN",
-            PolicyPreset::Cppe,
-            [1_995_500, 132, 1828, 1700, 42, 7_487_488, 6_963_200, 102],
-        ),
-    ];
-    for (abbr, preset, want) in golden {
-        let cfg = ExpConfig {
-            scale: 0.25,
-            gpu: GpuConfig {
-                trace: telemetry::TraceConfig::monitored(),
-                ..ExpConfig::default().gpu
-            },
-            ..ExpConfig::default()
-        };
-        let spec = registry::by_abbr(abbr).unwrap();
-        let lanes = cfg.gpu.lanes();
-        let streams: Vec<_> = (0..lanes)
-            .map(|l| spec.lane_items(l, lanes, cfg.scale))
-            .collect();
-        let capacity = capacity_pages(&spec, 0.5, cfg.scale);
-        let engine = preset.build(cfg.seed ^ spec.seed);
-        let r = gpu::simulate(&cfg.gpu, engine, &streams, capacity, spec.pages(cfg.scale));
-        let got = [
-            r.cycles,
-            r.engine.faults,
-            r.engine.pages_migrated,
-            r.engine.pages_evicted,
-            r.driver.batches,
-            r.bytes_h2d,
-            r.bytes_d2h,
-            r.wrong_evictions,
-        ];
-        assert_eq!(
-            got,
-            want,
-            "{abbr}/{}: monitored run diverged from golden fingerprint",
-            preset.label()
-        );
-        let t = r.telemetry.as_ref().expect("monitored runs are traced");
-        assert!(t.monitor.sampled > 0, "sampler must have fired");
-        let doc = telemetry::monitor::monitor_json(&t.monitor);
-        telemetry::monitor::validate_doc(&doc).expect("valid monitor dump");
-    }
 }
 
 /// A panicking sweep cell leaves a parseable flight-recorder dossier

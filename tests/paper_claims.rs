@@ -3,23 +3,17 @@
 //! harness binaries.)
 
 use cppe::presets::PolicyPreset;
-use gpu::{simulate, GpuConfig, Outcome, RunResult};
+use gpu::{Outcome, RunResult};
+use harness::{run_cell, ExpConfig};
 use workloads::registry;
 
 fn run(abbr: &str, preset: PolicyPreset, rate: f64) -> RunResult {
-    let scale = 0.5;
     let spec = registry::by_abbr(abbr).expect("known workload");
-    let gpu = GpuConfig {
-        warps_per_sm: 1,
-        ..GpuConfig::default()
+    let cfg = ExpConfig {
+        scale: 0.5,
+        ..ExpConfig::default()
     };
-    let lanes = gpu.lanes();
-    let streams: Vec<_> = (0..lanes)
-        .map(|l| spec.lane_items(l, lanes, scale))
-        .collect();
-    let pages = spec.pages(scale);
-    let capacity = ((pages as f64 * rate) as u64 / 16 * 16).max(32) as u32;
-    simulate(&gpu, preset.build(7), &streams, capacity, pages)
+    run_cell(&spec, preset, rate, &cfg)
 }
 
 /// §VI-B / Fig. 8: "CPPE outperformed the baseline significantly for

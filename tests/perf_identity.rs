@@ -1,154 +1,66 @@
-//! Bit-identity lock for the hot-loop overhaul.
+//! Bit-identity lock for the hot-loop overhaul and for every observer.
 //!
 //! The calendar event queue, flat page table, TLB presence masks and
 //! zero-allocation fault batching are pure *speed* changes: every
 //! simulated quantity must be bit-identical to the pre-overhaul
-//! implementations. These golden fingerprints were captured from the
-//! `BinaryHeap`/`FxHashMap` code immediately before the overhaul
-//! (workloads STN/KMN/SRD × baseline/CPPE at scale 0.25, rate 0.5,
-//! default seed) and lock every observable counter plus an FNV-1a hash
-//! of the full per-batch timeline. Any future "optimisation" that
-//! shifts one cycle or reorders one batch fails here, not in a paper
-//! figure. The counters come from an untraced run, so the tracing-off
-//! path stays locked; the timeline comes from the tracer's per-batch
-//! epoch series of a traced run, which must reproduce every counter.
+//! implementations. The six golden fingerprints (`tests/common`) were
+//! captured from the `BinaryHeap`/`FxHashMap` code immediately before
+//! the overhaul (workloads STN/KMN/SRD × baseline/CPPE at scale 0.25,
+//! rate 0.5, default seed) and lock every observable counter plus an
+//! FNV-1a hash of the full per-batch timeline. Any future
+//! "optimisation" that shifts one cycle or reorders one batch fails
+//! here, not in a paper figure.
+//!
+//! The observers are read-only, so the fingerprints must hold under
+//! every observer setting below. A traced run hashes its own epoch
+//! series; an untraced one takes the timeline from the plain traced run.
 
 mod common;
 
-use cppe::presets::PolicyPreset;
-use gpu::{GpuConfig, RunResult};
-use harness::{capacity_pages, ExpConfig};
-use telemetry::{EpochSeries, TraceConfig};
-use workloads::registry;
-
-/// Fingerprint of everything a run observably computes.
-#[derive(Debug, PartialEq, Eq)]
-struct Fp {
-    outcome: &'static str,
-    cycles: u64,
-    accesses: u64,
-    faults: u64,
-    pages_migrated: u64,
-    pages_prefetched: u64,
-    chunk_evictions: u64,
-    pages_evicted: u64,
-    total_untouch: u64,
-    batches: u64,
-    faults_serviced: u64,
-    coalesced_faults: u64,
-    l1_hits: u64,
-    l1_misses: u64,
-    l2_hits: u64,
-    l2_misses: u64,
-    pwc_hits: u64,
-    pwc_misses: u64,
-    walks: u64,
-    faulting_walks: u64,
-    bytes_h2d: u64,
-    bytes_d2h: u64,
-    wrong_evictions: u64,
-    frames_free: u32,
-    resident_pages: u64,
-    timeline_len: usize,
-    timeline_hash: u64,
-}
-
-fn run(abbr: &str, preset: PolicyPreset, trace: TraceConfig) -> RunResult {
-    let cfg = ExpConfig {
-        scale: 0.25,
-        gpu: GpuConfig {
-            trace,
-            ..ExpConfig::default().gpu
-        },
-        ..ExpConfig::default()
-    };
-    let spec = registry::by_abbr(abbr).expect("known app");
-    let lanes = cfg.gpu.lanes();
-    let streams: Vec<_> = (0..lanes)
-        .map(|l| spec.lane_items(l, lanes, cfg.scale))
-        .collect();
-    let capacity = capacity_pages(&spec, 0.5, cfg.scale);
-    let engine = preset.build(cfg.seed ^ spec.seed);
-    gpu::simulate(&cfg.gpu, engine, &streams, capacity, spec.pages(cfg.scale))
-}
-
-fn fingerprint_of(r: &RunResult, series: &EpochSeries) -> Fp {
-    let (timeline_len, timeline_hash) = common::timeline_hash(series);
-    Fp {
-        outcome: match r.outcome {
-            gpu::Outcome::Completed => "Completed",
-            gpu::Outcome::Crashed => "Crashed",
-            gpu::Outcome::Degraded => "Degraded",
-            gpu::Outcome::Timeout => "Timeout",
-        },
-        cycles: r.cycles,
-        accesses: r.accesses,
-        faults: r.engine.faults,
-        pages_migrated: r.engine.pages_migrated,
-        pages_prefetched: r.engine.pages_prefetched,
-        chunk_evictions: r.engine.chunk_evictions,
-        pages_evicted: r.engine.pages_evicted,
-        total_untouch: r.engine.total_untouch,
-        batches: r.driver.batches,
-        faults_serviced: r.driver.faults_serviced,
-        coalesced_faults: r.driver.coalesced_faults,
-        l1_hits: r.translation.l1_hits,
-        l1_misses: r.translation.l1_misses,
-        l2_hits: r.translation.l2_hits,
-        l2_misses: r.translation.l2_misses,
-        pwc_hits: r.translation.pwc_hits,
-        pwc_misses: r.translation.pwc_misses,
-        walks: r.translation.walks,
-        faulting_walks: r.translation.faulting_walks,
-        bytes_h2d: r.bytes_h2d,
-        bytes_d2h: r.bytes_d2h,
-        wrong_evictions: r.wrong_evictions,
-        frames_free: r.frames_free,
-        resident_pages: r.resident_pages,
-        timeline_len,
-        timeline_hash,
-    }
-}
-
-/// Counters from an untraced run, timeline from a traced one; the traced
-/// run must agree on every counter.
-fn fingerprint(abbr: &str, preset: PolicyPreset) -> Fp {
-    let off = run(abbr, preset, TraceConfig::default());
-    let on = run(abbr, preset, TraceConfig::on());
-    let series = &on.telemetry.as_ref().expect("traced run").series;
-    let fp = fingerprint_of(&off, series);
-    assert_eq!(
-        fingerprint_of(&on, series),
-        fp,
-        "{abbr}/{}: tracing moved a counter",
-        preset.label()
-    );
-    fp
-}
-
-/// Golden fingerprints captured from the pre-overhaul implementation.
-#[rustfmt::skip]
-fn golden() -> Vec<(&'static str, PolicyPreset, Fp)> {
-    vec![
-        ("STN", PolicyPreset::Baseline, Fp { outcome: "Completed", cycles: 1_644_517, accesses: 2560, faults: 116, pages_migrated: 1856, pages_prefetched: 1740, chunk_evictions: 108, pages_evicted: 1728, total_untouch: 276, batches: 31, faults_serviced: 116, coalesced_faults: 0, l1_hits: 0, l1_misses: 2676, l2_hits: 998, l2_misses: 1678, pwc_hits: 1677, pwc_misses: 3, walks: 1678, faulting_walks: 116, bytes_h2d: 7_602_176, bytes_d2h: 7_077_888, wrong_evictions: 0, frames_free: 0, resident_pages: 128, timeline_len: 31, timeline_hash: 0xEA8C_EBE5_B3D7_3134 }),
-        ("STN", PolicyPreset::Cppe, Fp { outcome: "Completed", cycles: 1_995_500, accesses: 2560, faults: 132, pages_migrated: 1828, pages_prefetched: 1696, chunk_evictions: 110, pages_evicted: 1700, total_untouch: 255, batches: 42, faults_serviced: 132, coalesced_faults: 0, l1_hits: 0, l1_misses: 2692, l2_hits: 1005, l2_misses: 1687, pwc_hits: 1686, pwc_misses: 3, walks: 1687, faulting_walks: 132, bytes_h2d: 7_487_488, bytes_d2h: 6_963_200, wrong_evictions: 102, frames_free: 0, resident_pages: 128, timeline_len: 42, timeline_hash: 0xB582_DDCE_B398_35BE }),
-        ("KMN", PolicyPreset::Baseline, Fp { outcome: "Completed", cycles: 13_467_250, accesses: 14_560, faults: 1690, pages_migrated: 27_040, pages_prefetched: 25_350, chunk_evictions: 1430, pages_evicted: 22_880, total_untouch: 11_440, batches: 75, faults_serviced: 1690, coalesced_faults: 0, l1_hits: 0, l1_misses: 16_250, l2_hits: 0, l2_misses: 16_250, pwc_hits: 16_249, pwc_misses: 19, walks: 16_250, faulting_walks: 1690, bytes_h2d: 110_755_840, bytes_d2h: 93_716_480, wrong_evictions: 0, frames_free: 0, resident_pages: 4160, timeline_len: 75, timeline_hash: 0x3C11_137D_63AB_6163 }),
-        ("KMN", PolicyPreset::Cppe, Fp { outcome: "Completed", cycles: 10_008_513, accesses: 14_560, faults: 1219, pages_migrated: 14_080, pages_prefetched: 12_861, chunk_evictions: 699, pages_evicted: 9920, total_untouch: 4330, batches: 62, faults_serviced: 1219, coalesced_faults: 0, l1_hits: 0, l1_misses: 15_779, l2_hits: 0, l2_misses: 15_779, pwc_hits: 15_778, pwc_misses: 19, walks: 15_779, faulting_walks: 1219, bytes_h2d: 57_671_680, bytes_d2h: 40_632_320, wrong_evictions: 124, frames_free: 0, resident_pages: 4160, timeline_len: 62, timeline_hash: 0x9C4E_6A7B_ED20_1100 }),
-        ("SRD", PolicyPreset::Baseline, Fp { outcome: "Completed", cycles: 12_238_983, accesses: 24_576, faults: 1536, pages_migrated: 24_576, pages_prefetched: 23_040, chunk_evictions: 1344, pages_evicted: 21_504, total_untouch: 0, batches: 67, faults_serviced: 1536, coalesced_faults: 0, l1_hits: 0, l1_misses: 26_112, l2_hits: 0, l2_misses: 26_112, pwc_hits: 26_111, pwc_misses: 14, walks: 26_112, faulting_walks: 1536, bytes_h2d: 100_663_296, bytes_d2h: 88_080_384, wrong_evictions: 0, frames_free: 0, resident_pages: 3072, timeline_len: 67, timeline_hash: 0xAFE6_738E_BD71_5C9B }),
-        ("SRD", PolicyPreset::Cppe, Fp { outcome: "Completed", cycles: 8_551_454, accesses: 24_576, faults: 1043, pages_migrated: 16_688, pages_prefetched: 15_645, chunk_evictions: 851, pages_evicted: 13_616, total_untouch: 0, batches: 46, faults_serviced: 1043, coalesced_faults: 0, l1_hits: 0, l1_misses: 25_619, l2_hits: 0, l2_misses: 25_619, pwc_hits: 25_618, pwc_misses: 14, walks: 25_619, faulting_walks: 1043, bytes_h2d: 68_354_048, bytes_d2h: 55_771_136, wrong_evictions: 0, frames_free: 0, resident_pages: 3072, timeline_len: 46, timeline_hash: 0xD8AE_A366_77F5_DAA9 }),
-    ]
-}
+use gpu::GpuConfig;
+use telemetry::TraceConfig;
 
 #[test]
 fn runs_are_bit_identical_to_pre_overhaul_golden() {
-    for (abbr, preset, want) in golden() {
-        let got = fingerprint(abbr, preset);
-        assert_eq!(
-            got,
-            want,
-            "{abbr}/{} diverged from the pre-overhaul fingerprint",
-            preset.label()
-        );
+    // (name, host profiler, tracer); the plain traced setting is second.
+    let settings = [
+        ("off", false, TraceConfig::default()),
+        ("traced", false, TraceConfig::on()),
+        ("audited", false, TraceConfig::audited()),
+        ("monitored", false, TraceConfig::monitored()),
+        ("hostprof", true, TraceConfig::default()),
+        ("hostprof+traced", true, TraceConfig::on()),
+    ];
+    let base = common::golden_cfg().gpu;
+    for (abbr, preset, want) in common::golden() {
+        let cell = common::golden_cell(abbr);
+        let runs: Vec<_> = settings
+            .iter()
+            .map(|&(_, hostprof, trace)| {
+                let gpu = GpuConfig {
+                    hostprof,
+                    trace,
+                    ..base
+                };
+                cell.run_preset(&gpu, preset)
+            })
+            .collect();
+        let traced = &runs[1].telemetry.as_ref().expect("traced run").series;
+        for ((name, hostprof, trace), r) in settings.iter().zip(&runs) {
+            let what = format!("{abbr}/{} under {name}", preset.label());
+            assert_eq!(r.telemetry.is_some(), trace.enabled, "{what}: telemetry");
+            assert_eq!(r.hostprof.is_some(), *hostprof, "{what}: host profile");
+            let series = r.telemetry.as_ref().map_or(traced, |t| &t.series);
+            assert_eq!(
+                common::fingerprint_of(r, series),
+                want,
+                "{what} diverged from the pre-overhaul fingerprint"
+            );
+            if let Some(t) = &r.telemetry {
+                assert_eq!(!t.decisions.is_empty(), trace.audit, "{what}: decisions");
+                assert_eq!(t.monitor.sampled > 0, trace.monitor, "{what}: monitor");
+            }
+        }
     }
 }
 
