@@ -7,7 +7,8 @@
 use cppe::presets::PolicyPreset;
 use gpu::RunResult;
 use harness::{CellInputs, ExpConfig};
-use telemetry::EpochSeries;
+use sim_core::hostprof::HostProfile;
+use telemetry::{EpochSeries, RunTelemetry};
 
 /// The settings the golden cells run under: scale 0.25, the default
 /// seed and GPU model.
@@ -28,6 +29,55 @@ pub fn golden_cell(abbr: &str) -> CellInputs {
 pub fn fnv(h: &mut u64, v: u64) {
     *h ^= v;
     *h = h.wrapping_mul(0x0000_0100_0000_01B3);
+}
+
+/// FNV-1a over a string's bytes.
+pub fn fnv_str(h: &mut u64, s: &str) {
+    for b in s.as_bytes() {
+        fnv(h, u64::from(*b));
+    }
+}
+
+/// `(events, spans, decisions, FNV-1a hash)` of a traced run's typed
+/// streams. The hash folds every event, span and decision record, the
+/// epoch series, the histograms and the drop counters, each through its
+/// `Debug` form.
+pub fn telemetry_hash(t: &RunTelemetry) -> (usize, usize, usize, u64) {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for e in &t.events {
+        fnv_str(&mut h, &format!("{e:?}"));
+    }
+    for s in &t.spans {
+        fnv_str(&mut h, &format!("{s:?}"));
+    }
+    for d in &t.decisions {
+        fnv_str(&mut h, &format!("{d:?}"));
+    }
+    fnv_str(&mut h, &format!("{:?}", t.series));
+    fnv_str(&mut h, &format!("{:?}", t.hists));
+    fnv(&mut h, t.dropped_events);
+    fnv(&mut h, t.dropped_spans);
+    fnv(&mut h, t.unclosed_spans);
+    fnv(&mut h, t.dropped_decisions);
+    (t.events.len(), t.spans.len(), t.decisions.len(), h)
+}
+
+/// FNV-1a hash of every deterministic host-profile field: per-kind
+/// dispatch counts, events, clock samples, queue-depth histograms,
+/// cohort reductions and zero-alloc counters. The wall-clock fields
+/// (`loop_wall_ns`, `wall_ns`) vary run to run and are left out.
+pub fn hostprof_hash(p: &HostProfile) -> u64 {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for c in p.counts {
+        fnv(&mut h, c);
+    }
+    fnv(&mut h, p.events);
+    fnv(&mut h, p.instant_samples);
+    fnv_str(&mut h, &format!("{:?}", p.ring_depth));
+    fnv_str(&mut h, &format!("{:?}", p.far_depth));
+    fnv_str(&mut h, &format!("{:?}", p.cohorts));
+    fnv_str(&mut h, &format!("{:?}", p.alloc));
+    h
 }
 
 /// The per-batch columns the golden timeline hash folds, in order.

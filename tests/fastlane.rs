@@ -13,26 +13,19 @@
 //! outcome, every counter block, byte totals, the per-batch timeline,
 //! and — for traced runs — the typed event/span/decision streams.
 //!
-//! The always-on tests below use fixed xorshift streams so the default
-//! suite needs no registry access; the `ext-tests` module at the bottom
-//! adds proptest-generated stream shapes on top (same convention as
-//! `tests/properties.rs`).
+//! The always-on tests below drive golden paper cells from the workload
+//! registry (`paper_cell`) and fixed xorshift streams (`synthetic_cell`);
+//! the `ext-tests` module at the bottom adds proptest-generated stream
+//! shapes on top (same convention as `tests/properties.rs`).
 
 mod common;
 
-use common::fnv;
 use cppe::presets::PolicyPreset;
 use gmmu::types::VirtPage;
 use gpu::{GpuConfig, RunResult};
 use harness::{CellInputs, ExpConfig};
 use telemetry::TraceConfig;
 use workloads::types::{AccessStep, LaneItem};
-
-fn fnv_str(h: &mut u64, s: &str) {
-    for b in s.as_bytes() {
-        fnv(h, u64::from(*b));
-    }
-}
 
 /// Everything a run observably computes, as comparable text. Compound
 /// stat blocks go in via their `Debug` form so a divergence prints the
@@ -70,25 +63,7 @@ fn fp(r: &RunResult, traced: &RunResult) -> Fp {
         r.mhpe.is_some(),
     );
     let series = &traced.telemetry.as_ref().expect("traced run").series;
-    let telemetry = r.telemetry.as_ref().map(|t| {
-        let mut eh: u64 = 0xCBF2_9CE4_8422_2325;
-        for e in &t.events {
-            fnv_str(&mut eh, &format!("{e:?}"));
-        }
-        for s in &t.spans {
-            fnv_str(&mut eh, &format!("{s:?}"));
-        }
-        for d in &t.decisions {
-            fnv_str(&mut eh, &format!("{d:?}"));
-        }
-        fnv_str(&mut eh, &format!("{:?}", t.series));
-        fnv_str(&mut eh, &format!("{:?}", t.hists));
-        fnv(&mut eh, t.dropped_events);
-        fnv(&mut eh, t.dropped_spans);
-        fnv(&mut eh, t.unclosed_spans);
-        fnv(&mut eh, t.dropped_decisions);
-        (t.events.len(), t.spans.len(), t.decisions.len(), eh)
-    });
+    let telemetry = r.telemetry.as_ref().map(common::telemetry_hash);
     Fp {
         head,
         timeline: common::timeline_hash(series),
@@ -301,22 +276,29 @@ fn traced_runs_agree() {
     );
 }
 
-/// With the host self-profiler on, simulated results stay identical
-/// (the profile itself is wall-clock and not compared).
+/// With the host self-profiler on, alone and together with the
+/// audited tracer, simulated results stay identical (the profile itself
+/// is wall-clock and not compared).
 #[test]
 fn hostprof_runs_agree() {
     let prof = |cfg: &mut GpuConfig| cfg.hostprof = true;
-    paper_cell("STN", PolicyPreset::Baseline, 0.25, &prof);
-    synthetic_cell(
-        0x9090_ABAB_CDCD_EFEF,
-        PolicyPreset::Baseline,
-        6,
-        3,
-        160,
-        640,
-        256,
-        &prof,
-    );
+    let both = |cfg: &mut GpuConfig| {
+        cfg.hostprof = true;
+        cfg.trace = TraceConfig::audited();
+    };
+    for setting in [&prof as &dyn Fn(&mut GpuConfig), &both] {
+        paper_cell("STN", PolicyPreset::Baseline, 0.25, setting);
+        synthetic_cell(
+            0x9090_ABAB_CDCD_EFEF,
+            PolicyPreset::Baseline,
+            6,
+            3,
+            160,
+            640,
+            256,
+            setting,
+        );
+    }
 }
 
 /// proptest-generated stream shapes on top of the fixed-seed suite.

@@ -14,11 +14,35 @@
 //! The observers are read-only, so the fingerprints must hold under
 //! every observer setting below. A traced run hashes its own epoch
 //! series; an untraced one takes the timeline from the plain traced run.
+//!
+//! The observers' own outputs are locked too: under the
+//! `hostprof+audited` setting (every observer at once, as perfbench's
+//! `observed-cells` runs them) each golden cell must reproduce
+//! [`OBSERVED`] — the event, span and decision streams and the host
+//! profile's deterministic fields.
 
 mod common;
 
 use gpu::GpuConfig;
+use sim_core::hostprof::KIND_COUNT;
 use telemetry::TraceConfig;
+
+/// What the observers record on each golden cell (same order as
+/// `common::golden()`) under `hostprof+audited`: event, span and
+/// decision counts with their stream hash (`common::telemetry_hash`),
+/// the host profiler's per-kind dispatch counts and the hash of its
+/// deterministic fields (`common::hostprof_hash`).
+type Observed = ((usize, usize, usize, u64), [u64; KIND_COUNT], u64);
+
+#[rustfmt::skip]
+const OBSERVED: [Observed; 6] = [
+    ((487, 1214, 224, 0x5FB7_7E4D_6312_6E41), [2560, 106, 31, 280, 28, 116, 10], 0xABBC_4468_633F_70C7),
+    ((548, 1382, 242, 0x55CB_3E91_3ACF_96BB), [2560, 112, 42, 280, 28, 132, 20], 0x09DF_9788_4B2A_4CB8),
+    ((6575, 16_790, 3120, 0xC743_1302_763F_0CB3), [14_560, 1686, 75, 112, 28, 1690, 4], 0xFD65_499D_0EF5_9478),
+    ((4418, 11_794, 1918, 0xBA4A_546E_6D9E_323B), [14_560, 1214, 62, 112, 28, 1219, 5], 0xAF41_4DFD_A87E_CF1F),
+    ((6019, 15_302, 2880, 0x425C_7DEB_256F_8C42), [24_576, 1532, 67, 112, 28, 1536, 4], 0x2037_7C94_1A9C_0822),
+    ((4026, 10_330, 1894, 0xA610_68FA_99D8_77DD), [24_576, 1039, 46, 112, 28, 1043, 4], 0x38FD_8683_C9AB_180A),
+];
 
 #[test]
 fn runs_are_bit_identical_to_pre_overhaul_golden() {
@@ -29,10 +53,10 @@ fn runs_are_bit_identical_to_pre_overhaul_golden() {
         ("audited", false, TraceConfig::audited()),
         ("monitored", false, TraceConfig::monitored()),
         ("hostprof", true, TraceConfig::default()),
-        ("hostprof+traced", true, TraceConfig::on()),
+        ("hostprof+audited", true, TraceConfig::audited()),
     ];
     let base = common::golden_cfg().gpu;
-    for (abbr, preset, want) in common::golden() {
+    for ((abbr, preset, want), observed) in common::golden().into_iter().zip(OBSERVED) {
         let cell = common::golden_cell(abbr);
         let runs: Vec<_> = settings
             .iter()
@@ -61,6 +85,19 @@ fn runs_are_bit_identical_to_pre_overhaul_golden() {
                 assert_eq!(t.monitor.sampled > 0, trace.monitor, "{what}: monitor");
             }
         }
+        let all = runs.last().expect("hostprof+audited run");
+        let p = all.hostprof.as_ref().expect("profiled run");
+        let t = all.telemetry.as_ref().expect("traced run");
+        assert_eq!(
+            (
+                common::telemetry_hash(t),
+                p.counts,
+                common::hostprof_hash(p)
+            ),
+            observed,
+            "{abbr}/{}: observer outputs under hostprof+audited",
+            preset.label()
+        );
     }
 }
 
