@@ -13,16 +13,16 @@
 
 use crate::cache::DataHierarchy;
 use crate::config::GpuConfig;
+use crate::probe::Probe;
 use cppe::engine::{EngineStats, OverheadSnapshot, PolicyEngine};
 use cppe::evict::MhpeTrace;
 use gmmu::translation::{TranslationOutcome, TranslationPath, TranslationStats};
 use gmmu::types::{SmId, VirtPage};
 use sim_core::events::EventQueue;
 use sim_core::fault::{FaultInjector, InjectionStats};
-use sim_core::hostprof::{AllocProfile, HostKind, HostProfile, HostProfiler, DEFAULT_WINDOW};
+use sim_core::hostprof::{HostKind, HostProfile};
 use sim_core::rng::Xoshiro256ss;
 use sim_core::time::Cycle;
-use telemetry::{SpanId, SpanStage};
 use uvm::driver::{DriverStats, UvmConfig, UvmDriver};
 use workloads::{AccessStep, LaneItem};
 
@@ -136,7 +136,7 @@ impl RunResult {
 }
 
 #[derive(Debug, Clone, Copy)]
-enum Event {
+pub(crate) enum Event {
     LaneReady(u32),
     /// The migration for this faulted page completed; its waiters replay.
     PageReady(VirtPage),
@@ -150,16 +150,6 @@ enum Event {
 /// bit-identity — sized so a streak never starves the far heap's
 /// `drain_far` migration for long.
 const MAX_STREAK: u32 = 128;
-
-/// Record a host-profiler event — the profiler is optional and strictly
-/// read-only, so every site is the same `if let` around a `note` call.
-macro_rules! prof_note {
-    ($prof:expr, $q:expr, $kind:expr, $now:expr, $sm:expr, $page:expr) => {
-        if let Some(p) = $prof.as_mut() {
-            p.note($kind, $now, $sm, $page, $q.ring_len(), $q.far_len());
-        }
-    };
-}
 
 /// How a batch dispatch ended, from [`dispatch_batch`].
 enum BatchEnd {
@@ -179,14 +169,12 @@ enum BatchEnd {
 #[allow(clippy::too_many_arguments)]
 fn dispatch_batch(
     dispatch: Cycle,
-    cfg: &GpuConfig,
-    tracing: bool,
     driver: &mut UvmDriver,
     xlat: &mut TranslationPath,
     caches: &mut DataHierarchy,
     q: &mut EventQueue<Event>,
     waiting: &crate::waiters::WaiterTable,
-    fault_spans: &sim_core::FxHashMap<(u64, u32), (SpanId, SpanId, u64)>,
+    probe: &Probe,
     pending_faults: &mut Vec<VirtPage>,
     batch_buf: &mut Vec<VirtPage>,
 ) -> BatchEnd {
@@ -199,16 +187,7 @@ fn dispatch_batch(
     if r.crashed {
         return BatchEnd::Crashed(r.done_at);
     }
-    if tracing {
-        record_batch_spans(
-            driver.tracer_mut(),
-            &r.completions,
-            waiting,
-            fault_spans,
-            dispatch,
-            cfg.warps_per_sm,
-        );
-    }
+    probe.batch(driver.tracer_mut(), &r.completions, waiting, dispatch);
     // Overflow tail (injected queue-depth limit): re-queue for the next
     // batch.
     pending_faults.extend_from_slice(&r.deferred);
@@ -221,53 +200,6 @@ fn dispatch_batch(
     q.push(r.host_done, Event::DriverFree);
     driver.recycle(r);
     BatchEnd::Ok
-}
-
-/// Close the fault-queue-wait span of every lane whose fault this batch
-/// completed, and hang its batch-service span off the fault root. A page
-/// may appear in `completions` more than once (a coalesced duplicate and
-/// its serviced original carry different times); the waiters wake at the
-/// *earliest* completion, so that is the service end — keeping replay
-/// contiguous with batch service and one service span per lifecycle.
-fn record_batch_spans(
-    tracer: &mut telemetry::Tracer,
-    completions: &[(VirtPage, Cycle)],
-    waiting: &crate::waiters::WaiterTable,
-    fault_spans: &sim_core::FxHashMap<(u64, u32), (SpanId, SpanId, u64)>,
-    dispatch: Cycle,
-    warps_per_sm: usize,
-) {
-    let mut ready: std::collections::BTreeMap<VirtPage, Cycle> = std::collections::BTreeMap::new();
-    for &(page, t_done) in completions {
-        ready
-            .entry(page)
-            .and_modify(|t| *t = (*t).min(t_done))
-            .or_insert(t_done);
-    }
-    for (page, t_done) in ready {
-        for lane in waiting.lanes(page) {
-            let Some(&(root, queue_wait, fault_at)) = fault_spans.get(&(page.0, lane)) else {
-                continue;
-            };
-            // A queued fault can be dispatched before its own walk
-            // resolves (the queue admits it at issue, not at walk
-            // completion); service begins no earlier than the fault
-            // itself, keeping the stage segments contiguous.
-            let service_start = dispatch.0.max(fault_at);
-            if tracer.span_close(queue_wait, service_start) {
-                let sm = (lane as usize / warps_per_sm) as u16;
-                tracer.span(
-                    SpanStage::BatchService,
-                    service_start,
-                    t_done.0,
-                    root,
-                    sm,
-                    lane,
-                    page.0,
-                );
-            }
-        }
-    }
 }
 
 /// Run plain access streams (no barriers) — convenience wrapper around
@@ -347,18 +279,7 @@ pub fn simulate(
         cfg.resilience,
     )
     .expect("invalid GPU/UVM configuration — pre-check with GpuConfig::validate");
-    driver.set_tracer(telemetry::Tracer::new(cfg.trace));
-    let tracing = driver.tracer_mut().enabled();
-    // Open fault lifecycles, keyed by (page, lane): the FaultTotal root,
-    // its still-open FaultQueueWait child, and the cycle the fault was
-    // raised. A lane blocks while faulting, so at most one entry per
-    // lane exists at a time.
-    let mut fault_spans: sim_core::FxHashMap<(u64, u32), (SpanId, SpanId, u64)> =
-        sim_core::FxHashMap::default();
-    // Replaying lanes: (root, open Replay span), closed on the next
-    // translate outcome for that lane.
-    let mut replay_spans: sim_core::FxHashMap<u32, (SpanId, SpanId)> =
-        sim_core::FxHashMap::default();
+    let mut probe = Probe::new(cfg, &mut driver);
     let mut caches = DataHierarchy::new(cfg.sms);
     let mut q: EventQueue<Event> = EventQueue::new();
     let mut idx = vec![0usize; streams.len()];
@@ -370,12 +291,6 @@ pub fn simulate(
         }
     }
 
-    // Host self-profiler: strictly read-only with respect to simulation
-    // state — one `Option` branch per event when off, batched clock
-    // samples when on, bit-identical simulated results either way.
-    let mut prof: Option<HostProfiler> = cfg
-        .hostprof
-        .then(|| HostProfiler::new(DEFAULT_WINDOW, cfg.sms));
     let mut pending_faults: Vec<VirtPage> = Vec::new();
     // Double buffer for batch dispatch: faults accumulating for the
     // *next* batch swap into here, so dispatching never re-allocates.
@@ -401,7 +316,7 @@ pub fn simulate(
                 let stream = &streams[l];
                 let sm16 = (l / cfg.warps_per_sm) as u16;
                 if idx[l] >= stream.len() {
-                    prof_note!(prof, q, HostKind::LaneDrained, now.0, Some(sm16), None);
+                    probe.note(&q, HostKind::LaneDrained, now.0, Some(sm16), None);
                     continue; // lane drained; no further events
                 }
                 let step = match stream[idx[l]] {
@@ -425,7 +340,7 @@ pub fn simulate(
                         } else {
                             waiters[b].push(lane);
                         }
-                        prof_note!(prof, q, HostKind::Barrier, now.0, Some(sm16), None);
+                        probe.note(&q, HostKind::Barrier, now.0, Some(sm16), None);
                         continue;
                     }
                     LaneItem::Access(step) => step,
@@ -443,17 +358,6 @@ pub fn simulate(
                     let (out, timing) = xlat.translate_timed(sm, step.page, now);
                     match out {
                         TranslationOutcome::Hit { ready_at, .. } => {
-                            // Only the streak head can be a replay
-                            // (replays wake through the queue), so the
-                            // span-map lookup is hoisted out of the
-                            // run-ahead inner loop.
-                            if tracing && streak == 0 {
-                                if let Some((root, replay)) = replay_spans.remove(&lane) {
-                                    let tr = driver.tracer_mut();
-                                    tr.span_close(replay, ready_at.0);
-                                    tr.span_close(root, ready_at.0);
-                                }
-                            }
                             xlat.mark_touched(step.page);
                             let dlat = caches.access(sm.idx(), step.page, now);
                             idx[l] += 1;
@@ -486,15 +390,12 @@ pub fn simulate(
                                         if xlat.page_table().is_resident(n.page)
                                 )
                                 && q.peek_time().is_none_or(|t| t > wake);
+                            // Only the streak head can be a replay
+                            // (replays wake through the queue).
+                            let replay_end = (streak == 0).then_some(ready_at);
                             if run_ahead {
-                                prof_note!(
-                                    prof,
-                                    q,
-                                    HostKind::AccessHit,
-                                    now.0,
-                                    Some(sm.0),
-                                    Some(step.page.0)
-                                );
+                                let tr = driver.tracer_mut();
+                                probe.hit(tr, &q, lane, step.page, now, replay_end);
                                 end = wake;
                                 now = wake;
                                 streak += 1;
@@ -507,82 +408,11 @@ pub fn simulate(
                                 continue;
                             }
                             q.push(wake, Event::LaneReady(lane));
-                            prof_note!(
-                                prof,
-                                q,
-                                HostKind::AccessHit,
-                                now.0,
-                                Some(sm.0),
-                                Some(step.page.0)
-                            );
+                            probe.hit(driver.tracer_mut(), &q, lane, step.page, now, replay_end);
                             break;
                         }
                         TranslationOutcome::Fault { at } => {
-                            if tracing {
-                                let tr = driver.tracer_mut();
-                                // A replaying lane that faults again (page
-                                // evicted or its migration aborted) ends the
-                                // old lifecycle at the re-issue and opens a
-                                // fresh one.
-                                if let Some((root, replay)) = replay_spans.remove(&lane) {
-                                    tr.span_close(replay, now.0);
-                                    tr.span_close(root, now.0);
-                                }
-                                let page = step.page.0;
-                                let root = tr.span_open(
-                                    SpanStage::FaultTotal,
-                                    now.0,
-                                    SpanId::NONE,
-                                    sm.0,
-                                    lane,
-                                    page,
-                                );
-                                tr.span(
-                                    SpanStage::TlbL1,
-                                    now.0,
-                                    timing.l1_done.0,
-                                    root,
-                                    sm.0,
-                                    lane,
-                                    page,
-                                );
-                                tr.span(
-                                    SpanStage::TlbL2,
-                                    timing.l1_done.0,
-                                    timing.l2_done.0,
-                                    root,
-                                    sm.0,
-                                    lane,
-                                    page,
-                                );
-                                tr.span(
-                                    SpanStage::WalkerQueue,
-                                    timing.l2_done.0,
-                                    timing.walk_started.0,
-                                    root,
-                                    sm.0,
-                                    lane,
-                                    page,
-                                );
-                                tr.span(
-                                    SpanStage::PageWalk,
-                                    timing.walk_started.0,
-                                    at.0,
-                                    root,
-                                    sm.0,
-                                    lane,
-                                    page,
-                                );
-                                let queue_wait = tr.span_open(
-                                    SpanStage::FaultQueueWait,
-                                    at.0,
-                                    root,
-                                    sm.0,
-                                    lane,
-                                    page,
-                                );
-                                fault_spans.insert((page, lane), (root, queue_wait, at.0));
-                            }
+                            probe.fault(driver.tracer_mut(), lane, step.page, now, &timing, at);
                             pending_faults.push(step.page);
                             waiting.push(step.page, lane);
                             let mut kind = HostKind::FaultQueued;
@@ -591,14 +421,12 @@ pub fn simulate(
                                 driver_busy = true;
                                 match dispatch_batch(
                                     at,
-                                    cfg,
-                                    tracing,
                                     &mut driver,
                                     &mut xlat,
                                     &mut caches,
                                     &mut q,
                                     &waiting,
-                                    &fault_spans,
+                                    &probe,
                                     &mut pending_faults,
                                     &mut batch_buf,
                                 ) {
@@ -615,11 +443,7 @@ pub fn simulate(
                                     }
                                 }
                             }
-                            // A dispatching fault is driver-side (serial)
-                            // work for the cohort model; a queued fault
-                            // stays attributed to its SM.
-                            let cohort_sm = (kind == HostKind::FaultQueued).then_some(sm.0);
-                            prof_note!(prof, q, kind, now.0, cohort_sm, Some(step.page.0));
+                            probe.note(&q, kind, now.0, Some(sm.0), Some(step.page.0));
                             break;
                         }
                     }
@@ -632,23 +456,11 @@ pub fn simulate(
                 // same-cycle, so they collect into one bulk push.
                 wake_buf.clear();
                 waiting.take(page, |lane| {
-                    if tracing {
-                        if let Some((root, queue_wait, _)) = fault_spans.remove(&(page.0, lane)) {
-                            let tr = driver.tracer_mut();
-                            // A lane whose own fault never made a
-                            // batch (another lane's did) waits until
-                            // the shared page lands.
-                            tr.span_close(queue_wait, now.0);
-                            let sm = (lane as usize / cfg.warps_per_sm) as u16;
-                            let replay =
-                                tr.span_open(SpanStage::Replay, now.0, root, sm, lane, page.0);
-                            replay_spans.insert(lane, (root, replay));
-                        }
-                    }
+                    probe.replay(driver.tracer_mut(), page, lane, now);
                     wake_buf.push(Event::LaneReady(lane));
                 });
                 q.push_n(now, wake_buf.drain(..));
-                prof_note!(prof, q, HostKind::PageReady, now.0, None, Some(page.0));
+                probe.note(&q, HostKind::PageReady, now.0, None, Some(page.0));
             }
             Event::DriverFree => {
                 driver_busy = false;
@@ -660,14 +472,12 @@ pub fn simulate(
                     driver_busy = true;
                     match dispatch_batch(
                         now,
-                        cfg,
-                        tracing,
                         &mut driver,
                         &mut xlat,
                         &mut caches,
                         &mut q,
                         &waiting,
-                        &fault_spans,
+                        &probe,
                         &mut pending_faults,
                         &mut batch_buf,
                     ) {
@@ -689,26 +499,12 @@ pub fn simulate(
                 } else {
                     HostKind::DriverIdle
                 };
-                prof_note!(prof, q, kind, now.0, None, None);
+                probe.note(&q, kind, now.0, None, None);
             }
         }
     }
 
-    let hostprof = prof.map(|p| {
-        let (waiter_reuses, waiter_grows) = waiting.alloc_stats();
-        let (scratch_recycled, scratch_fresh) = driver.scratch_stats();
-        p.finish(
-            q.ring_len(),
-            q.far_len(),
-            AllocProfile {
-                waiter_reuses,
-                waiter_grows,
-                waiter_high_water: waiting.high_water() as u64,
-                scratch_recycled,
-                scratch_fresh,
-            },
-        )
-    });
+    let (run_telemetry, hostprof) = probe.finish(&q, &waiting, &mut driver);
 
     if outcome == Outcome::Completed && driver.degraded() {
         outcome = Outcome::Degraded;
@@ -719,7 +515,6 @@ pub fn simulate(
     let bytes_d2h = driver.pcie().bytes_d2h;
     let frames_free = driver.free_frames();
     let injection = driver.injector_stats();
-    let run_telemetry = driver.take_telemetry();
     let mhpe = engine_trace(&mut driver);
     let engine = driver.engine();
     RunResult {

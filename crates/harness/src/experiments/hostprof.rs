@@ -22,15 +22,15 @@
 //!   gates at [`OVERHEAD_TOLERANCE`] (CI fails past a 5 % geomean).
 //!
 //! Profiling is strictly read-only: the on-run must report the exact
-//! cycles/accesses of the off-run or [`measure`] panics (the repo-root
-//! `tests/hostprof.rs` additionally locks the on-profile against the
-//! golden perf-identity fingerprints).
+//! cycles/accesses of the off-run or [`measure_at`] panics (the repo-root
+//! `tests/perf_identity.rs` additionally locks profiled runs, and the
+//! profile's deterministic fields, on the golden cells).
 //!
 //! When `CPPE_STATUS_PORT` is set, the hot counters are also surfaced
 //! live through the `/metrics` Prometheus endpoint for the duration of
 //! the measurement (same env contract as the sweep orchestrator).
 
-use crate::report::{save, Table};
+use crate::report::Table;
 use crate::runner::{capacity_for, CellInputs, ExpConfig};
 use cppe::presets::PolicyPreset;
 use gmmu::types::{VirtPage, PAGES_PER_CHUNK};
@@ -153,23 +153,13 @@ fn best(times: Vec<f64>) -> f64 {
     times.into_iter().fold(f64::INFINITY, f64::min)
 }
 
-/// Profile every app: for each, the CPPE preset at bench scale, one
+/// Profile every app: for each, the CPPE preset at workload `scale`
+/// and oversubscription `rate` (capacity = `rate × footprint`), one
 /// warmup then best-of-[`REPS`] wall times with profiling off and on
 /// (interleaved), keeping the [`HostProfile`] of the final on-run.
-///
-/// # Panics
-/// Panics if the profiled run diverges from the unprofiled run in
-/// cycles or accesses — profiling must be read-only.
-#[must_use]
-pub fn measure(cfg: &ExpConfig) -> Vec<HostprofCell> {
-    measure_at(cfg, BENCH_SCALE, RATE)
-}
-
-/// [`measure`] at an explicit workload scale and oversubscription rate
-/// (capacity = `rate × footprint`). The ROADMAP's parallelism item
-/// needs cohort shapes at full scale / high oversubscription, not just
-/// the bench point — `cppe hostprof --scale 1.0 --rate 0.25` runs
-/// this.
+/// [`BENCH_SCALE`] and [`RATE`] are the bench point; cohort shapes are
+/// widest at full scale / high oversubscription (`cppe hostprof
+/// --scale 1.0 --rate 0.25`).
 ///
 /// # Panics
 /// Panics if the profiled run diverges from the unprofiled run in
@@ -269,14 +259,8 @@ fn write_kinds(s: &mut String, p: &HostProfile) {
 }
 
 /// Render cells as the `BENCH_hostprof.json` document (schema
-/// [`SCHEMA`]) at the default bench scale/rate.
-#[must_use]
-pub fn hostprof_json(cells: &[HostprofCell]) -> String {
-    hostprof_json_at(cells, BENCH_SCALE, RATE)
-}
-
-/// [`hostprof_json`] with an explicit scale/rate stamp (must match the
-/// [`measure_at`] call that produced `cells`).
+/// [`SCHEMA`]), stamped with the scale/rate of the [`measure_at`] call
+/// that produced them.
 #[must_use]
 pub fn hostprof_json_at(cells: &[HostprofCell], scale: f64, rate: f64) -> String {
     let mut s = String::from("{");
@@ -584,14 +568,9 @@ impl telemetry::OpsSource for HostprofOps {
     }
 }
 
-/// Render the text report: per app, kinds ranked by wall share plus the
-/// queue/alloc/cohort summary and the projected speedup ceilings.
-#[must_use]
-pub fn render_report(cells: &[HostprofCell]) -> String {
-    render_report_at(cells, BENCH_SCALE, RATE)
-}
-
-/// [`render_report`] with an explicit scale/rate header.
+/// Render the text report under a scale/rate header: per app, kinds
+/// ranked by wall share plus the queue/alloc/cohort summary and the
+/// projected speedup ceilings.
 #[must_use]
 pub fn render_report_at(cells: &[HostprofCell], scale: f64, rate: f64) -> String {
     let mut out = format!(
@@ -715,30 +694,6 @@ pub fn start_status() -> Option<StatusHandle> {
     }
 }
 
-/// Run the observatory: measure, export `results/BENCH_hostprof.json`,
-/// render the report (including the overhead gate verdict). With
-/// `CPPE_STATUS_PORT` set, serves `/metrics` for the run's duration.
-#[must_use]
-pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
-    let server = start_status();
-    let cells = measure(cfg);
-    if let Some(handle) = &server {
-        handle.publish(&cells);
-    }
-    let doc = hostprof_json(&cells);
-    let _ = save("BENCH_hostprof.json", &doc);
-    let (gate, failed) = check_overhead(&cells);
-    let mut out = render_report(&cells);
-    out.push_str(&gate);
-    if failed {
-        out.push_str("WARNING: profiling overhead exceeds the 5 % budget\n");
-    }
-    if let Some(handle) = &server {
-        handle.linger();
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -782,7 +737,7 @@ mod tests {
             synthetic_cell("STN", 10.0, 10.2),
             synthetic_cell("SRV", 5.0, 5.1),
         ];
-        let doc = hostprof_json(&cells);
+        let doc = hostprof_json_at(&cells, BENCH_SCALE, RATE);
         telemetry::json::validate(&doc).unwrap();
         let detail = validate_doc(&doc).unwrap();
         assert!(detail.contains("2 apps"), "{detail}");
@@ -795,7 +750,7 @@ mod tests {
         let empty = format!("{{\"schema\":\"{SCHEMA}\",\"apps\":[]}}");
         assert!(validate_doc(&empty).unwrap_err().contains("empty"));
         // Corrupt a counter: events no longer matches the kind sum.
-        let doc = hostprof_json(&[synthetic_cell("STN", 1.0, 1.0)]);
+        let doc = hostprof_json_at(&[synthetic_cell("STN", 1.0, 1.0)], BENCH_SCALE, RATE);
         let bad = doc.replacen("\"events\":40", "\"events\":41", 1);
         assert!(validate_doc(&bad).unwrap_err().contains("counts sum"));
     }
@@ -867,7 +822,7 @@ mod tests {
             on_wall_ms: 1.0,
             profile: p,
         };
-        let doc = hostprof_json(&[cell]);
+        let doc = hostprof_json_at(&[cell], BENCH_SCALE, RATE);
         validate_doc(&doc).unwrap();
     }
 }

@@ -8,9 +8,8 @@
 //! reference, on a thrashing and an irregular app.
 
 use crate::report::{fmt_speedup, Table};
-use crate::runner::{run_cell, speedup, ExpConfig};
+use crate::runner::{speedup, CellInputs, ExpConfig};
 use cppe::presets::PolicyPreset;
-use workloads::registry;
 
 /// Apps contrasted: a Type IV thrasher (HPE's home turf) and a sparse
 /// Type VI app (where misclassification hurts).
@@ -26,12 +25,13 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
         "cppe/baseline",
     ]);
     for app in APPS {
-        let spec = registry::by_abbr(app).expect("known app");
-        let lru_nopf = run_cell(&spec, PolicyPreset::LruNoPf, 0.5, cfg);
-        let hpe_nopf = run_cell(&spec, PolicyPreset::HpeNoPf, 0.5, cfg);
-        let baseline = run_cell(&spec, PolicyPreset::Baseline, 0.5, cfg);
-        let hpe_pf = run_cell(&spec, PolicyPreset::HpeNaive, 0.5, cfg);
-        let cppe = run_cell(&spec, PolicyPreset::Cppe, 0.5, cfg);
+        let cell = CellInputs::of(app, 0.5, cfg);
+        let run = |preset| cell.run_preset(&cfg.gpu, preset);
+        let lru_nopf = run(PolicyPreset::LruNoPf);
+        let hpe_nopf = run(PolicyPreset::HpeNoPf);
+        let baseline = run(PolicyPreset::Baseline);
+        let hpe_pf = run(PolicyPreset::HpeNaive);
+        let cppe = run(PolicyPreset::Cppe);
         table.row(vec![
             app.to_string(),
             fmt_speedup(speedup(&lru_nopf, &hpe_nopf)),

@@ -76,8 +76,9 @@ pub fn t1_sweep(cfg: &ExpConfig, apps: &[(CellInputs, RunResult)]) -> Vec<(u32, 
     T1_VALUES.into_iter().map(row).collect()
 }
 
-/// Fault-cost sweep rows: `(µs, geomean CPPE speedup over baseline)`;
-/// each latency reruns the baselines on `apps`' cells.
+/// Fault-cost sweep rows: `(µs, geomean CPPE speedup over baseline)`.
+/// Each latency reruns the baselines on `apps`' cells, except the one
+/// equal to `cfg.gpu`'s, which reuses the stored baselines.
 #[must_use]
 pub fn fault_cost_sweep(
     cfg: &ExpConfig,
@@ -88,15 +89,16 @@ pub fn fault_cost_sweep(
             fault_base_cycles: us * 1400,
             ..cfg.gpu
         };
+        let stored = gpu.fault_base_cycles == cfg.gpu.fault_base_cycles;
         let speeds: Vec<_> = apps
             .iter()
-            .map(|(cell, _)| {
-                let base = cell.run_preset(&gpu, PolicyPreset::Baseline);
+            .map(|(cell, base)| {
+                let rerun = (!stored).then(|| cell.run_preset(&gpu, PolicyPreset::Baseline));
                 let engine = PolicyEngine::new(
                     Box::new(MhpePolicy::new()),
                     Box::new(PatternAwarePrefetcher::new()),
                 );
-                speedup(&base, &cell.run(&gpu, engine))
+                speedup(rerun.as_ref().unwrap_or(base), &cell.run(&gpu, engine))
             })
             .collect();
         (us, geomean(&speeds))

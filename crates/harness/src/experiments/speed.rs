@@ -13,7 +13,7 @@
 //! comparable run-to-run; the simulation itself is deterministic, so
 //! only the wall clock varies.
 
-use crate::report::{save, Table};
+use crate::report::Table;
 use crate::runner::{CellInputs, ExpConfig};
 use cppe::presets::PolicyPreset;
 use std::fmt::Write as _;
@@ -202,36 +202,6 @@ pub fn check(cells: &[SpeedCell], baseline: &str) -> (String, bool) {
         if regressed { "REGRESSED" } else { "ok" }
     );
     (out, regressed)
-}
-
-/// Run the speed baseline: measure, export `results/BENCH_speed.json`
-/// (the committed repo-root copy is refreshed manually from it when a
-/// PR legitimately shifts the baseline) and render the text report.
-#[must_use]
-pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
-    let cells = measure(cfg);
-    let doc = speed_json(&cells);
-    let _ = save("BENCH_speed.json", &doc);
-
-    let mut t = Table::new(&["app", "policy", "outcome", "cycles", "wall ms", "Mcycles/s"]);
-    for c in &cells {
-        t.row(vec![
-            c.app.to_string(),
-            c.policy.clone(),
-            c.outcome.clone(),
-            c.cycles.to_string(),
-            format!("{:.3}", c.wall_ms),
-            format!("{:.2}", c.sim_cycles_per_sec / 1e6),
-        ]);
-    }
-    format!(
-        "Speed (extension) — simulator wall-clock baseline: {} × {} cells\n\
-         at scale {BENCH_SCALE}, rate {RATE}, median of {REPS} runs after warmup\n\
-         (machine-readable export in results/BENCH_speed.json, schema {SCHEMA})\n\n{}",
-        APPS.len(),
-        PRESETS.len(),
-        t.render()
-    )
 }
 
 #[cfg(test)]

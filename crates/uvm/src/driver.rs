@@ -527,17 +527,8 @@ impl UvmDriver {
         let d2h_done =
             self.pcie
                 .transfer_d2h_at(u64::from(resident), self.service_start, self.service_bw);
-        if self.tracer.enabled() && resident > 0 {
-            self.tracer.span(
-                SpanStage::EvictionDma,
-                d2h_start.0,
-                d2h_done.0,
-                self.batch_span,
-                u16::MAX,
-                u32::MAX,
-                victim.0,
-            );
-            self.batch_dma_end = self.batch_dma_end.max(d2h_done);
+        if resident > 0 {
+            self.batch_child(SpanStage::EvictionDma, d2h_start, d2h_done, victim.0);
         }
         let untouch = resident.saturating_sub(touch.count_touched());
         self.tracer
@@ -548,6 +539,19 @@ impl UvmDriver {
             });
         self.engine.note_evicted(victim, touch, resident);
         true
+    }
+
+    /// Record a driver-side child of the open batch span (no SM, no
+    /// lane); a DMA stage also moves `batch_dma_end` past its completion.
+    fn batch_child(&mut self, stage: SpanStage, start: Cycle, end: Cycle, key: u64) {
+        if !self.tracer.enabled() {
+            return;
+        }
+        let (parent, tr) = (self.batch_span, &mut self.tracer);
+        tr.span(stage, start.0, end.0, parent, u16::MAX, u32::MAX, key);
+        if matches!(stage, SpanStage::EvictionDma | SpanStage::PcieTransfer) {
+            self.batch_dma_end = self.batch_dma_end.max(end);
+        }
     }
 
     /// Service a batch of far faults arriving at `now`.
@@ -687,15 +691,7 @@ impl UvmDriver {
                 self.stats.retry_backoff_cycles += backoff;
                 let backoff_start = host_cursor;
                 host_cursor = host_cursor.after(backoff);
-                self.tracer.span(
-                    SpanStage::RetryBackoff,
-                    backoff_start.0,
-                    host_cursor.0,
-                    self.batch_span,
-                    u16::MAX,
-                    u32::MAX,
-                    fault.0,
-                );
+                self.batch_child(SpanStage::RetryBackoff, backoff_start, host_cursor, fault.0);
             }
             if abort {
                 self.stats.migrations_aborted += 1;
@@ -796,18 +792,7 @@ impl UvmDriver {
             let transfer_done = self
                 .pcie
                 .transfer_h2d_at(plan.len() as u64, now, self.service_bw);
-            if self.tracer.enabled() {
-                self.tracer.span(
-                    SpanStage::PcieTransfer,
-                    h2d_start.0,
-                    transfer_done.0,
-                    self.batch_span,
-                    u16::MAX,
-                    u32::MAX,
-                    fault.0,
-                );
-                self.batch_dma_end = self.batch_dma_end.max(transfer_done);
-            }
+            self.batch_child(SpanStage::PcieTransfer, h2d_start, transfer_done, fault.0);
             let pages = plan.len() as u32;
             self.tracer.emit(now.0, || TraceEvent::MigrationDma {
                 page: fault.0,
@@ -837,15 +822,7 @@ impl UvmDriver {
             done_cycle: done_at.0,
         });
         if self.tracer.enabled() {
-            self.tracer.span(
-                SpanStage::HostService,
-                now.0,
-                host_done.0,
-                self.batch_span,
-                u16::MAX,
-                u32::MAX,
-                batch_seq,
-            );
+            self.batch_child(SpanStage::HostService, now, host_done, batch_seq);
             let batch_end = done_at.max(self.batch_dma_end);
             self.tracer.span_close(self.batch_span, batch_end.0);
             self.batch_span = SpanId::NONE;

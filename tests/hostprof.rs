@@ -11,7 +11,9 @@ mod common;
 
 use cppe::presets::PolicyPreset;
 use gpu::GpuConfig;
-use harness::experiments::hostprof::{hostprof_json, validate_doc, HostprofCell};
+use harness::experiments::hostprof::{
+    hostprof_json_at, validate_doc, HostprofCell, BENCH_SCALE, RATE,
+};
 use sim_core::hostprof::HostKind;
 
 /// A golden cell, with the host profiler on or off.
@@ -76,7 +78,7 @@ fn export_of_a_real_run_passes_the_artifact_validator() {
         on_wall_ms: 1.0,
         profile: r.hostprof.expect("profile present"),
     };
-    let doc = hostprof_json(&[cell]);
+    let doc = hostprof_json_at(&[cell], BENCH_SCALE, RATE);
     let detail = validate_doc(&doc).expect("own export must validate");
     assert!(detail.contains("1 apps"), "{detail}");
 }
